@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .fields import Field, PrimeField
+from .fields import Field
 from .linalg import (
     Subspace,
     is_zero_matrix,
@@ -78,52 +78,31 @@ class Bialgebra:
     def prod(self, u, v):
         """Product of two coordinate vectors."""
         f = self.field
-        modp = isinstance(f, PrimeField)
         out = f.zeros(self.dim)
         for i in np.nonzero(u != 0)[0]:
             for j in np.nonzero(v != 0)[0]:
-                c = u[i] * v[j]
-                if modp:
-                    c = c % f.p
-                out = out + c * self.mult[i, j]
-                if modp:
-                    out = out % f.p
+                out = f.addmul(out, f.mul(u[i], v[j]), self.mult[i, j])
         return out
 
     def prod2(self, u, v):
         """Componentwise product on B (x) B: (a(x)b)(c(x)e) = ac (x) be."""
-        f = self.field
-        modp = isinstance(f, PrimeField)
-        d = self.dim
-        out = f.zeros(d * d)
-        for s in np.nonzero(u != 0)[0]:
-            i, j = divmod(int(s), d)
-            for t in np.nonzero(v != 0)[0]:
-                k, l = divmod(int(t), d)
-                c = u[s] * v[t]
-                if modp:
-                    c = c % f.p
-                out = out + c * f.kron(self.mult[i, k], self.mult[j, l])
-                if modp:
-                    out = out % f.p
-        return out
+        return self._tensor_prod(u, v, self.mult)
 
     def prod2op(self, u, v):
         """Product on B (x) B^op: (a(x)b)(c(x)e) = ac (x) eb."""
+        return self._tensor_prod(u, v, self.mult.transpose(1, 0, 2))
+
+    def _tensor_prod(self, u, v, second):
+        """Product on B (x) B with the structure tensor ``second`` on the right leg."""
         f = self.field
-        modp = isinstance(f, PrimeField)
         d = self.dim
         out = f.zeros(d * d)
         for s in np.nonzero(u != 0)[0]:
             i, j = divmod(int(s), d)
             for t in np.nonzero(v != 0)[0]:
                 k, l = divmod(int(t), d)
-                c = u[s] * v[t]
-                if modp:
-                    c = c % f.p
-                out = out + c * f.kron(self.mult[i, k], self.mult[l, j])
-                if modp:
-                    out = out % f.p
+                term = f.kron(self.mult[i, k], second[j, l])
+                out = f.addmul(out, f.mul(u[s], v[t]), term)
         return out
 
     def delta(self, v):
@@ -220,44 +199,34 @@ def verify_axioms(b: Bialgebra) -> AxiomReport:
         checks.append(AxiomCheck(name, w is None, w))
 
     m, cm = b.mult_mat, b.comult_mat
-    assoc = matmul(f, m, kron(f, m, eye)) - matmul(f, m, kron(f, eye, m))
-    record("associativity", _mod(f, assoc), 3)
+    assoc = f.sub(matmul(f, m, kron(f, m, eye)), matmul(f, m, kron(f, eye, m)))
+    record("associativity", assoc, 3)
 
-    lu = matmul(f, m, kron(f, b.unit_col, eye)) - eye
-    ru = matmul(f, m, kron(f, eye, b.unit_col)) - eye
-    record("left_unit", _mod(f, lu), 1)
-    record("right_unit", _mod(f, ru), 1)
+    record("left_unit", f.sub(matmul(f, m, kron(f, b.unit_col, eye)), eye), 1)
+    record("right_unit", f.sub(matmul(f, m, kron(f, eye, b.unit_col)), eye), 1)
 
-    coassoc = matmul(f, kron(f, cm, eye), cm) - matmul(f, kron(f, eye, cm), cm)
-    record("coassociativity", _mod(f, coassoc), 1)
+    coassoc = f.sub(matmul(f, kron(f, cm, eye), cm), matmul(f, kron(f, eye, cm), cm))
+    record("coassociativity", coassoc, 1)
 
-    lc = matmul(f, kron(f, b.counit_row, eye), cm) - eye
-    rc = matmul(f, kron(f, eye, b.counit_row), cm) - eye
-    record("left_counit", _mod(f, lc), 1)
-    record("right_counit", _mod(f, rc), 1)
+    record("left_counit", f.sub(matmul(f, kron(f, b.counit_row, eye), cm), eye), 1)
+    record("right_counit", f.sub(matmul(f, kron(f, eye, b.counit_row), cm), eye), 1)
 
     # Delta(pq) = Delta(p) Delta(q) in B (x) B, column by column
-    compat = f.zeros((d * d, d * d))
-    dm = matmul(f, cm, m)
+    prods = f.zeros((d * d, d * d))
     for p in range(d):
         for q in range(d):
-            rhs = b.prod2(b.comult_mat[:, p], b.comult_mat[:, q])
-            compat[:, p * d + q] = dm[:, p * d + q] - rhs
-    record("comult_is_algebra_map", _mod(f, compat), 2)
+            prods[:, p * d + q] = b.prod2(b.comult_mat[:, p], b.comult_mat[:, q])
+    record("comult_is_algebra_map", f.sub(matmul(f, cm, m), prods), 2)
 
-    ceps = matmul(f, b.counit_row, m) - kron(f, b.counit_row, b.counit_row)
-    record("counit_is_algebra_map", _mod(f, ceps), 2)
+    ceps = f.sub(matmul(f, b.counit_row, m), kron(f, b.counit_row, b.counit_row))
+    record("counit_is_algebra_map", ceps, 2)
 
-    d1 = matmul(f, cm, b.unit_col) - kron(f, b.unit_col, b.unit_col)
-    record("comult_of_unit", _mod(f, d1), 1)
-    e1 = matmul(f, b.counit_row, b.unit_col) - f.eye(1)
-    record("counit_of_unit", _mod(f, e1), 1)
+    d1 = f.sub(matmul(f, cm, b.unit_col), kron(f, b.unit_col, b.unit_col))
+    record("comult_of_unit", d1, 1)
+    e1 = f.sub(matmul(f, b.counit_row, b.unit_col), f.eye(1))
+    record("counit_of_unit", e1, 1)
 
     return AxiomReport(checks)
-
-
-def _mod(f, a):
-    return a % f.p if isinstance(f, PrimeField) else a
 
 
 def assert_valid(b: Bialgebra) -> Bialgebra:
@@ -397,21 +366,6 @@ def is_coideal(b: Bialgebra, v: Subspace) -> bool:
     return all(mixed.contains(b.delta(v.basis[t])) for t in range(v.dim))
 
 
-def _quotient_projection(b: Bialgebra, sub: Subspace):
-    """Projection matrix onto complement coordinates and its section."""
-    f = b.field
-    comp = sub.complement_indices()
-    q = len(comp)
-    proj = f.zeros((q, b.dim))
-    for k in range(b.dim):
-        red = sub.reduce(b.basis_vector(k))
-        proj[:, k] = red[list(comp)]
-    reps = f.zeros((b.dim, q))
-    for t, c in enumerate(comp):
-        reps[c, t] = f.one
-    return proj, reps, comp
-
-
 @dataclass
 class BialgebraMorphism:
     source: Bialgebra
@@ -433,12 +387,12 @@ def morphism_check(f_mat, a: Bialgebra, b: Bialgebra) -> BialgebraMorphism:
     if f_mat.shape != (b.dim, a.dim):
         raise DimensionError(f"morphism matrix {f_mat.shape}, expected {(b.dim, a.dim)}")
     ff = kron(fld, f_mat, f_mat)
-    alg = is_zero_matrix(
-        _mod(fld, matmul(fld, f_mat, a.mult_mat) - matmul(fld, b.mult_mat, ff))
-    ) and is_zero_matrix(_mod(fld, matmul(fld, f_mat, a.unit_col) - b.unit_col))
-    coalg = is_zero_matrix(
-        _mod(fld, matmul(fld, b.comult_mat, f_mat) - matmul(fld, ff, a.comult_mat))
-    ) and is_zero_matrix(_mod(fld, matmul(fld, b.counit_row, f_mat) - a.counit_row))
+    alg = fld.equal(
+        matmul(fld, f_mat, a.mult_mat), matmul(fld, b.mult_mat, ff)
+    ) and fld.equal(matmul(fld, f_mat, a.unit_col), b.unit_col)
+    coalg = fld.equal(
+        matmul(fld, b.comult_mat, f_mat), matmul(fld, ff, a.comult_mat)
+    ) and fld.equal(matmul(fld, b.counit_row, f_mat), a.counit_row)
     return BialgebraMorphism(a, b, f_mat, alg, coalg)
 
 
@@ -453,25 +407,20 @@ def quotient_by_biideal(b: Bialgebra, ideal: Subspace):
     if not is_coideal(b, ideal):
         raise PreconditionError("quotient_by_biideal: subspace is not a coideal")
     f = b.field
-    proj, reps, comp = _quotient_projection(b, ideal)
+    proj, _, comp = ideal.quotient_maps()
     q = len(comp)
     mult = f.zeros((q, q, q))
     for s in range(q):
         for t in range(q):
             mult[s, t] = matmul(f, proj, b.mult[comp[s], comp[t]])
     comult = f.zeros((q, q, q))
-    modp = isinstance(f, PrimeField)
     for t in range(q):
         dk = b.comult[comp[t]]
         acc = f.zeros((q, q))
         for i in np.nonzero(np.any(dk != 0, axis=1))[0]:
             for j in np.nonzero(dk[i] != 0)[0]:
-                term = np.outer(proj[:, i], proj[:, j])
-                if modp:
-                    term = term % f.p
-                acc = acc + dk[i, j] * term
-                if modp:
-                    acc = acc % f.p
+                outer = f.mul(proj[:, i, None], proj[None, :, j])
+                acc = f.addmul(acc, dk[i, j], outer)
         comult[t] = acc
     unit = matmul(f, proj, b.unit)
     counit = b.counit[list(comp)].copy()
@@ -558,18 +507,13 @@ def primitives(b: Bialgebra) -> Subspace:
     """Solution space of Delta(z) = z (x) 1 + 1 (x) z."""
     f = b.field
     eye = f.eye(b.dim)
-    op = b.comult_mat - kron(f, eye, b.unit_col) - kron(f, b.unit_col, eye)
-    return kernel(f, _mod(f, op))
+    op = f.sub(f.sub(b.comult_mat, kron(f, eye, b.unit_col)), kron(f, b.unit_col, eye))
+    return kernel(f, op)
 
 
 def is_grouplike(b: Bialgebra, v) -> bool:
     """Delta(v) = v (x) v and eps(v) = 1, exactly."""
     v = np.asarray(v)
-    if not is_zero_matrix(_mod(b.field, b.delta(v) - kron(b.field, v, v))):
+    if not b.field.equal(b.delta(v), kron(b.field, v, v)):
         return False
     return b.eps(v) == b.field.one
-
-
-def grouplike_scan(b: Bialgebra, candidates):
-    """Filter a candidate list through is_grouplike (no enumeration)."""
-    return [v for v in candidates if is_grouplike(b, v)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bialgebra import Bialgebra, _mod, augmentation_ideal
+from .bialgebra import Bialgebra, augmentation_ideal
 from .convolution import antipode_shape_check, conv, conv_unit
 from .errors import ConstructionError, InvariantViolation
 from .linalg import (
@@ -59,23 +59,6 @@ class OslashSpace:
         return matmul(b.field, self.proj, b.prod2(ab_vec, rep))
 
 
-def _quotient_data(b: Bialgebra, relations: Subspace):
-    """Projection and section for B (x) B modulo a relation subspace."""
-    f = b.field
-    d2 = b.dim * b.dim
-    comp = relations.complement_indices()
-    q = len(comp)
-    proj = f.zeros((q, d2))
-    for c in range(d2):
-        e = f.zeros(d2)
-        e[c] = f.one
-        proj[:, c] = relations.reduce(e)[list(comp)]
-    reps = f.zeros((d2, q))
-    for t, c in enumerate(comp):
-        reps[c, t] = f.one
-    return proj, reps, comp
-
-
 def oslash_relations(b: Bialgebra) -> Subspace:
     """The subspace (B (x) B) Delta(B+) of B (x) B."""
     f = b.field
@@ -95,7 +78,7 @@ def build_oslash(b: Bialgebra) -> OslashSpace:
     f = b.field
     d = b.dim
     relations = oslash_relations(b)
-    proj, reps, comp = _quotient_data(b, relations)
+    proj, reps, comp = relations.quotient_maps()
     q = len(comp)
 
     # pi annihilates exactly the relation subspace
@@ -115,11 +98,8 @@ def build_oslash(b: Bialgebra) -> OslashSpace:
             col = f.zeros(q * q)
             for a, bb, ci in di:
                 for c, e, cj in dj:
-                    coef = _mod(f, ci * cj)
-                    col = _mod(
-                        f,
-                        col + coef * kron(f, proj[:, a * d + e], proj[:, bb * d + c]),
-                    )
+                    term = kron(f, proj[:, a * d + e], proj[:, bb * d + c])
+                    col = f.addmul(col, f.mul(ci, cj), term)
             full[:, i * d + j] = col
     for t in range(relations.dim):
         if not is_zero_matrix(matmul(f, full, relations.basis[t])):
@@ -134,17 +114,16 @@ def build_oslash(b: Bialgebra) -> OslashSpace:
 
     # coalgebra axioms on the quotient
     eye_q = f.eye(q)
-    coassoc = matmul(f, kron(f, comult_q, eye_q), comult_q) - matmul(
-        f, kron(f, eye_q, comult_q), comult_q
-    )
-    lcounit = matmul(f, kron(f, counit_q, eye_q), comult_q) - eye_q
-    rcounit = matmul(f, kron(f, eye_q, counit_q), comult_q) - eye_q
-    for name, diff in (
-        ("coassociativity", coassoc),
-        ("left counit", lcounit),
-        ("right counit", rcounit),
+    for name, lhs, rhs in (
+        (
+            "coassociativity",
+            matmul(f, kron(f, comult_q, eye_q), comult_q),
+            matmul(f, kron(f, eye_q, comult_q), comult_q),
+        ),
+        ("left counit", matmul(f, kron(f, counit_q, eye_q), comult_q), eye_q),
+        ("right counit", matmul(f, kron(f, eye_q, counit_q), comult_q), eye_q),
     ):
-        if not is_zero_matrix(_mod(f, diff)):
+        if not f.equal(lhs, rhs):
             raise ConstructionError(f"quotient coalgebra fails {name}")
 
     # the left B (x) B action descends: relations absorb left multiplication
@@ -201,13 +180,12 @@ def gamma_matrix(b: Bialgebra):
             col = f.zeros(d ** 3)
             for a, bb, ci in di:
                 for c, e, cj in dj:
-                    coef = _mod(f, ci * cj)
                     base = (a * d + c) * d
-                    col[base : base + d] = _mod(
-                        f, col[base : base + d] + coef * b.mult[bb, e]
+                    col[base : base + d] = f.addmul(
+                        col[base : base + d], f.mul(ci, cj), b.mult[bb, e]
                     )
             base = (i * d + j) * d
-            col[base : base + d] = _mod(f, col[base : base + d] - b.unit)
+            col[base : base + d] = f.sub(col[base : base + d], b.unit)
             g[:, i * d + j] = col
     return g
 
@@ -237,15 +215,15 @@ def build_boxslash(b: Bialgebra) -> BoxslashSpace:
     # associativity and unitality of the induced algebra
     mult_mat = mult.reshape(s * s, s).T.copy()
     eye_s = f.eye(s)
-    assoc = matmul(f, mult_mat, kron(f, mult_mat, eye_s)) - matmul(
-        f, mult_mat, kron(f, eye_s, mult_mat)
-    )
-    if not is_zero_matrix(_mod(f, assoc)):
+    if not f.equal(
+        matmul(f, mult_mat, kron(f, mult_mat, eye_s)),
+        matmul(f, mult_mat, kron(f, eye_s, mult_mat)),
+    ):
         raise ConstructionError("coinvariant algebra is not associative")
     ucol = unit_coords.reshape(s, 1)
     if not (
-        is_zero_matrix(_mod(f, matmul(f, mult_mat, kron(f, ucol, eye_s)) - eye_s))
-        and is_zero_matrix(_mod(f, matmul(f, mult_mat, kron(f, eye_s, ucol)) - eye_s))
+        f.equal(matmul(f, mult_mat, kron(f, ucol, eye_s)), eye_s)
+        and f.equal(matmul(f, mult_mat, kron(f, eye_s, ucol)), eye_s)
     ):
         raise ConstructionError("coinvariant algebra is not unital")
 
@@ -254,7 +232,7 @@ def build_boxslash(b: Bialgebra) -> BoxslashSpace:
     mw = matmul(f, b.mult_mat, include)
     ew = matmul(f, counit2, include)
     expected = matmul(f, b.unit_col, ew)
-    if not is_zero_matrix(_mod(f, mw - expected)):
+    if not f.equal(mw, expected):
         raise ConstructionError("a coinvariant violates x^i y_i = eps(x^i)eps(y_i) 1")
 
     p2 = kron(f, f.eye(d), b.counit_row)  # x (x) y |-> x eps(y)
@@ -293,7 +271,7 @@ def S_witness(b: Bialgebra, osl: OslashSpace | None = None):
     emb2 = kron(f, b.unit_col, f.eye(b.dim))  # y |-> 1 (x) y
     one_oslash = matmul(f, osl.proj, emb2)
     s = matmul(f, section, one_oslash)
-    if not is_zero_matrix(_mod(f, matmul(f, osl.i_matrix, s) - one_oslash)):
+    if not f.equal(matmul(f, osl.i_matrix, s), one_oslash):
         raise ConstructionError("section witness fails i_B(S(y)) = class(1 (x) y)")
     return s
 
@@ -313,7 +291,7 @@ def T_witness(b: Bialgebra, box: BoxslashSpace | None = None):
     t = matmul(f, pleft, matmul(f, box.include, retraction))
     lhs = matmul(f, t, box.p_matrix)
     rhs = matmul(f, pleft, box.include)
-    if not is_zero_matrix(_mod(f, lhs - rhs)):
+    if not f.equal(lhs, rhs):
         raise ConstructionError("retraction witness fails T(x^i)eps(y_i) = eps(x^i)y_i")
     return t
 
@@ -328,7 +306,7 @@ def can_matrix(b: Bialgebra):
         for i in range(d):
             col = f.zeros(d * d)
             for a, bb, cj in dj:
-                col = _mod(f, col + cj * kron(f, b.mult[i, a], _basis(f, d, bb)))
+                col = f.addmul(col, cj, kron(f, b.mult[i, a], _basis(f, d, bb)))
             out[:, i * d + j] = col
     return out
 
@@ -343,7 +321,7 @@ def can_prime_matrix(b: Bialgebra):
         for j in range(d):
             col = f.zeros(d * d)
             for a, bb, ci in di:
-                col = _mod(f, col + ci * kron(f, _basis(f, d, a), b.mult[bb, j]))
+                col = f.addmul(col, ci, kron(f, _basis(f, d, a), b.mult[bb, j]))
             out[:, i * d + j] = col
     return out
 
@@ -362,10 +340,8 @@ class FrobeniusReport:
     anti_algebra: bool | None
     anti_coalgebra: bool | None
     consistent: bool
-    can_surjective: bool
-    can_injective: bool
-    can_prime_surjective: bool
-    can_prime_injective: bool
+    can_bijective: bool        # square matrix: injective iff surjective
+    can_prime_bijective: bool
 
 
 def frobenius_report(
@@ -392,7 +368,7 @@ def frobenius_report(
         sr = solve_matrix(f, osl.i_matrix, matmul(f, osl.proj, emb2))
         if sr is None:
             raise InvariantViolation("bijective i_B with unsolvable inversion")
-        if not is_zero_matrix(_mod(f, conv(b, f.eye(b.dim), sr) - conv_unit(b))):
+        if not f.equal(conv(b, f.eye(b.dim), sr), conv_unit(b)):
             raise InvariantViolation("extracted S^r is not a right antipode")
         shape = antipode_shape_check(b, sr)
         anti_alg = shape["anti_algebra"]
@@ -400,10 +376,7 @@ def frobenius_report(
         if not (anti_alg and anti_coalg):
             raise InvariantViolation("extracted S^r is not an anti-bialgebra map")
     has_good_antipode = sr is not None
-    cm = can_matrix(b)
-    cpm = can_prime_matrix(b)
-    rc = rank(f, cm)
-    rcp = rank(f, cpm)
+    d2 = b.dim * b.dim
     return FrobeniusReport(
         i_bijective=i_bij,
         p_bijective=p_bij,
@@ -411,8 +384,6 @@ def frobenius_report(
         anti_algebra=anti_alg,
         anti_coalgebra=anti_coalg,
         consistent=(i_bij == p_bij == has_good_antipode),
-        can_surjective=(rc == b.dim * b.dim),
-        can_injective=(rc == b.dim * b.dim),
-        can_prime_surjective=(rcp == b.dim * b.dim),
-        can_prime_injective=(rcp == b.dim * b.dim),
+        can_bijective=(rank(f, can_matrix(b)) == d2),
+        can_prime_bijective=(rank(f, can_prime_matrix(b)) == d2),
     )

@@ -125,8 +125,8 @@ def cmd_frobenius(b, opts):
         "p_bijective": bool(rep.p_bijective),
         "right_antipode_exists": rep.right_antipode is not None,
         "consistent": bool(rep.consistent),
-        "can_bijective": bool(rep.can_injective),
-        "can_prime_bijective": bool(rep.can_prime_injective),
+        "can_bijective": bool(rep.can_bijective),
+        "can_prime_bijective": bool(rep.can_prime_bijective),
     }
     if opts.matrices and rep.right_antipode is not None:
         doc["right_antipode"] = _matrix_json(b.field, rep.right_antipode)

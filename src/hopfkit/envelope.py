@@ -17,7 +17,6 @@ import numpy as np
 from .bialgebra import (
     Bialgebra,
     BialgebraMorphism,
-    _mod,
     ideal_closure,
     quotient_by_biideal,
 )
@@ -61,11 +60,11 @@ def hopf_envelope(b: Bialgebra, osl: OslashSpace | None = None) -> HopfResult:
     qmat = qmor.matrix
     sw = S_witness(b, osl)
     right = conv_hom(b, quo, qmat, matmul(f, qmat, sw))
-    if not is_zero_matrix(_mod(f, right - uq_eps)):
+    if not f.equal(right, uq_eps):
         raise InvariantViolation("q_B * (q_B o S) is not the convolution unit")
     # cross-check the two antipode routes: both invert q_B, which is unique
     left = conv_hom(b, quo, matmul(f, antipode, qmat), qmat)
-    if not is_zero_matrix(_mod(f, left - uq_eps)):
+    if not f.equal(left, uq_eps):
         raise InvariantViolation("(S o q_B) * q_B is not the convolution unit")
     return HopfResult(quo, antipode, qmor, "quotient")
 
@@ -88,9 +87,9 @@ def _oslash_iso(b: Bialgebra, osl: OslashSpace, env: HopfResult):
     )
     phi = matmul(f, psi, osl.reps)
     bijective = osl.dim == h.dim and rank(f, phi) == h.dim
-    coalg = is_zero_matrix(
-        _mod(f, matmul(f, h.comult_mat, phi) - matmul(f, kron(f, phi, phi), osl.comult))
-    ) and is_zero_matrix(_mod(f, matmul(f, h.counit_row, phi) - osl.counit))
+    coalg = f.equal(
+        matmul(f, h.comult_mat, phi), matmul(f, kron(f, phi, phi), osl.comult)
+    ) and f.equal(matmul(f, h.counit_row, phi), osl.counit)
     return phi, well_defined, bijective, coalg
 
 
@@ -122,7 +121,7 @@ def cocommutative_envelope_check(b: Bialgebra) -> bool:
         return False
     lhs = matmul(f, phi, flip_q)
     rhs = matmul(f, env.antipode, phi)
-    return is_zero_matrix(_mod(f, lhs - rhs))
+    return f.equal(lhs, rhs)
 
 
 def iterate_Q(b: Bialgebra):

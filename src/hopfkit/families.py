@@ -184,11 +184,9 @@ def radford_dual(n: int, field: Field = QQ) -> Bialgebra:
     comult[0, 0, 0] = field.one
     one = field.one
     for t in range(1, d):
-        comult[t, 0, t] = comult[t, 0, t] + one
-        comult[t, t, 0] = comult[t, t, 0] + one
-        comult[t, t, n] = comult[t, t, n] - one
-    if field.characteristic:
-        comult = comult % field.p
+        comult[t, 0, t] = field.add(comult[t, 0, t], one)
+        comult[t, t, 0] = field.add(comult[t, t, 0], one)
+        comult[t, t, n] = field.sub(comult[t, t, n], one)
     unit = [0] * d
     unit[0] = 1
     counit = [0] * d

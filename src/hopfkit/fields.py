@@ -7,6 +7,14 @@ through the kernels in :mod:`hopfkit._kernels`.  Larger primes fall back
 to object arrays of Python ints, still exact.
 
 All arithmetic is exact; there is no tolerance anywhere in the package.
+
+Reduction invariant: every GF(p) scalar or array the package builds is
+reduced into [0, p).  The field alone keeps it: ``scalar``/``array``
+reduce external data, and the elementwise operations (``add``, ``sub``,
+``neg``, ``mul``, the fused accumulates ``addmul``/``submul``) as well as
+``matmul`` and ``kron`` return reduced values from reduced operands, so
+no caller ever reduces by hand and ``equal`` can compare entrywise.
+Over Q the same operations are plain arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from .errors import FieldMismatchError, HopfkitError
 
 try:
     from gmpy2 import mpq as _RAT
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional ``fast`` extra
     from fractions import Fraction as _RAT
 
 
@@ -90,6 +98,14 @@ class Field:
             out[i, i] = self.one
         return out
 
+    # -- elementwise arithmetic --------------------------------------------
+    #
+    # Operands are scalars or arrays combined with numpy broadcasting.
+
+    def equal(self, a, b) -> bool:
+        """Exact equality of two reduced arrays (or scalars)."""
+        return bool(np.array_equal(a, b))
+
 
 class RationalField(Field):
     dtype = object
@@ -127,6 +143,26 @@ class RationalField(Field):
 
     def kron(self, a, b):
         return np.kron(a, b)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def addmul(self, acc, c, x):
+        """acc + c*x."""
+        return acc + c * x
+
+    def submul(self, acc, c, x):
+        """acc - c*x."""
+        return acc - c * x
 
 
 class PrimeField(Field):
@@ -197,6 +233,29 @@ class PrimeField(Field):
             )
         # kron never accumulates: entry products stay below p**2
         return np.kron(a, b) % self.p
+
+    # Reduced operands are below 2**31 in the int64 lane, so c*x < 2**62 and
+    # acc +- c*x stays inside int64; the object lane holds Python ints.
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def mul(self, a, b):
+        return (a * b) % self.p
+
+    def addmul(self, acc, c, x):
+        """(acc + c*x) mod p with one reduction."""
+        return (acc + c * x) % self.p
+
+    def submul(self, acc, c, x):
+        """(acc - c*x) mod p with one reduction."""
+        return (acc - c * x) % self.p
 
 
 QQ = RationalField()

@@ -7,16 +7,17 @@ with explicit numerator/denominator, so no floating point ever appears:
 * ``comult``: [k, i, j, num, den]  meaning  Delta(e_k)_(i,j) = num/den
 * ``unit`` / ``counit``: [i, num, den]
 
-Prime-field documents must use den = 1 and 0 <= num < p.  Parsing
-verifies the bialgebra axioms (or the monoid axioms) and fails with a
-witness; serialization emits triples in sorted order so that
-parse/serialize round-trips are the identity on canonical documents.
+Prime-field documents must use den = 1 and 0 <= num < p.  Every integer
+field rejects JSON booleans, each sparse position may appear only once,
+and ``dim`` is capped at :data:`MAX_DIM`.  Parsing verifies the bialgebra
+axioms (or the monoid axioms) and fails with a witness; serialization
+emits triples in sorted order so that parse/serialize round-trips are the
+identity on canonical documents.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 from .bialgebra import Bialgebra, assert_valid, make_bialgebra
 from .errors import HopfkitError, ParseError
@@ -26,14 +27,26 @@ from .monoid import FiniteMonoid, make_monoid
 BIALGEBRA_SCHEMA = "hopfkit.bialgebra/1"
 MONOID_SCHEMA = "hopfkit.monoid/1"
 
+#: Largest accepted bialgebra dimension.  The biggest matrix the axiom
+#: check builds is kron(mult_mat, eye), with d**5 entries; over Q one entry
+#: costs about 56 bytes (an 8-byte pointer and a 48-byte Fraction), 72 at
+#: the peak of numpy's kron.  32**5 = 33,554,432 entries * 72 B = 2.4 GB,
+#: a third of a 7 GiB machine; dim 40 would already need 7.4 GB.
+MAX_DIM = 32
+
 
 def _expect(cond, where, msg):
     if not cond:
         raise ParseError(f"{where}: {msg}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: ``true``/``false`` decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _scalar_from_pair(field, num, den, where):
-    _expect(isinstance(num, int) and isinstance(den, int), where, "num/den must be integers")
+    _expect(_is_int(num) and _is_int(den), where, "num/den must be integers")
     _expect(den != 0, where, "zero denominator")
     if isinstance(field, PrimeField):
         _expect(den == 1, where, f"prime-field entries need denominator 1, got {den}")
@@ -50,46 +63,41 @@ def bialgebra_from_document(doc: dict, verify: bool = True) -> Bialgebra:
     except HopfkitError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     dim = doc.get("dim")
-    _expect(isinstance(dim, int) and dim >= 1, where, "dim must be a positive integer")
+    _expect(_is_int(dim) and dim >= 1, where, "dim must be a positive integer")
+    _expect(dim <= MAX_DIM, where, f"dim {dim} exceeds the supported maximum {MAX_DIM}")
     labels = doc.get("labels")
     if labels is not None:
         _expect(
             isinstance(labels, list) and len(labels) == dim, where,
             "labels must list one string per basis vector",
         )
-    mult = field.zeros((dim, dim, dim))
-    for t, entry in enumerate(doc.get("mult", [])):
-        w = f"mult[{t}]"
-        _expect(isinstance(entry, list) and len(entry) == 5, w, "expected [i, j, k, num, den]")
-        i, j, k, num, den = entry
-        for name, idx in (("i", i), ("j", j), ("k", k)):
-            _expect(isinstance(idx, int) and 0 <= idx < dim, w, f"index {name}={idx} out of range")
-        mult[i, j, k] = _scalar_from_pair(field, num, den, w)
-    comult = field.zeros((dim, dim, dim))
-    for t, entry in enumerate(doc.get("comult", [])):
-        w = f"comult[{t}]"
-        _expect(isinstance(entry, list) and len(entry) == 5, w, "expected [k, i, j, num, den]")
-        k, i, j, num, den = entry
-        for name, idx in (("k", k), ("i", i), ("j", j)):
-            _expect(isinstance(idx, int) and 0 <= idx < dim, w, f"index {name}={idx} out of range")
-        comult[k, i, j] = _scalar_from_pair(field, num, den, w)
-    unit = field.zeros(dim)
-    for t, entry in enumerate(doc.get("unit", [])):
-        w = f"unit[{t}]"
-        _expect(isinstance(entry, list) and len(entry) == 3, w, "expected [i, num, den]")
-        i, num, den = entry
-        _expect(isinstance(i, int) and 0 <= i < dim, w, f"index {i} out of range")
-        unit[i] = _scalar_from_pair(field, num, den, w)
-    counit = field.zeros(dim)
-    for t, entry in enumerate(doc.get("counit", [])):
-        w = f"counit[{t}]"
-        _expect(isinstance(entry, list) and len(entry) == 3, w, "expected [i, num, den]")
-        i, num, den = entry
-        _expect(isinstance(i, int) and 0 <= i < dim, w, f"index {i} out of range")
-        counit[i] = _scalar_from_pair(field, num, den, w)
+    mult = _sparse_tensor(doc, "mult", "ijk", field, dim)
+    comult = _sparse_tensor(doc, "comult", "kij", field, dim)
+    unit = _sparse_tensor(doc, "unit", "i", field, dim)
+    counit = _sparse_tensor(doc, "counit", "i", field, dim)
     b = make_bialgebra(field, mult, comult, unit, counit,
                        tuple(labels) if labels else None)
     return assert_valid(b) if verify else b
+
+
+def _sparse_tensor(doc, key, axes, field, dim):
+    """Dense tensor from ``doc[key]``, a list of [*indices, num, den] entries."""
+    out = field.zeros((dim,) * len(axes))
+    layout = "[" + ", ".join([*axes, "num", "den"]) + "]"
+    entries = doc.get(key, [])
+    _expect(isinstance(entries, list), key, "expected a list of entries")
+    seen = {}
+    for t, entry in enumerate(entries):
+        w = f"{key}[{t}]"
+        _expect(isinstance(entry, list) and len(entry) == len(axes) + 2, w, f"expected {layout}")
+        *idx, num, den = entry
+        for name, i in zip(axes, idx):
+            _expect(_is_int(i) and 0 <= i < dim, w, f"index {name}={i} out of range")
+        idx = tuple(idx)
+        _expect(idx not in seen, w, f"duplicate of {key}[{seen.get(idx)}] at position {list(idx)}")
+        seen[idx] = t
+        out[idx] = _scalar_from_pair(field, num, den, w)
+    return out
 
 
 def monoid_from_document(doc: dict) -> FiniteMonoid:
@@ -97,7 +105,7 @@ def monoid_from_document(doc: dict) -> FiniteMonoid:
     _expect(isinstance(doc, dict), where, "not a JSON object")
     _expect(doc.get("schema") == MONOID_SCHEMA, where, f"schema must be {MONOID_SCHEMA}")
     size = doc.get("size")
-    _expect(isinstance(size, int) and size >= 1, where, "size must be a positive integer")
+    _expect(_is_int(size) and size >= 1, where, "size must be a positive integer")
     table = doc.get("table")
     _expect(
         isinstance(table, list) and len(table) == size
@@ -106,10 +114,10 @@ def monoid_from_document(doc: dict) -> FiniteMonoid:
     )
     for i, row in enumerate(table):
         for j, v in enumerate(row):
-            _expect(isinstance(v, int) and 0 <= v < size, f"table[{i}][{j}]",
+            _expect(_is_int(v) and 0 <= v < size, f"table[{i}][{j}]",
                     f"entry {v} out of range")
     identity = doc.get("identity")
-    _expect(isinstance(identity, int) and 0 <= identity < size, where,
+    _expect(_is_int(identity) and 0 <= identity < size, where,
             "identity index out of range")
     labels = doc.get("labels")
     if labels is not None:
@@ -196,9 +204,3 @@ def parse_path(path: str, verify: bool = True):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_text(text, verify=verify)
 
-
-def parse(source: str, verify: bool = True):
-    """Parse either a path to a document or document text itself."""
-    if os.path.exists(source):
-        return parse_path(source, verify=verify)
-    return parse_text(source, verify=verify)

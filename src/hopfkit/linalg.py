@@ -48,8 +48,6 @@ def rref(f: Field, a):
 def _rref_object(f: Field, a):
     r = f.zeros(a.shape)
     r[...] = a
-    if isinstance(f, PrimeField):
-        r = r % f.p
     m, n = r.shape
     pivots = []
     row = 0
@@ -65,14 +63,10 @@ def _rref_object(f: Field, a):
             continue
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = r[row] * f.inv(r[row, col])
-        if isinstance(f, PrimeField):
-            r[row] = r[row] % f.p
+        r[row] = f.mul(r[row], f.inv(r[row, col]))
         for i in range(m):
             if i != row and r[i, col] != 0:
-                r[i] = r[i] - r[i, col] * r[row]
-                if isinstance(f, PrimeField):
-                    r[i] = r[i] % f.p
+                r[i] = f.submul(r[i], r[i, col], r[row])
         pivots.append(col)
         row += 1
     return r, tuple(pivots)
@@ -87,15 +81,6 @@ def is_zero_matrix(a) -> bool:
     if a.size == 0:
         return True
     return bool(np.all(a == 0))
-
-
-def first_nonzero_column(a):
-    """Index of the first column holding a nonzero entry, or None."""
-    a = np.asarray(a)
-    for j in range(a.shape[1]):
-        if not is_zero_matrix(a[:, j]):
-            return j
-    return None
 
 
 @dataclass(eq=False)
@@ -122,17 +107,11 @@ class Subspace:
 
     def reduce(self, v):
         """Residual of v after eliminating the pivot coordinates; 0 iff v is a member."""
-        v = np.asarray(v)
-        modp = isinstance(self.field, PrimeField)
         out = self.field.zeros(self.ambient)
         out[...] = v
-        if modp:
-            out = out % self.field.p
         for t, c in enumerate(self.pivots):
             if out[c] != 0:
-                out = out - out[c] * self.basis[t]
-                if modp:
-                    out = out % self.field.p
+                out = self.field.submul(out, out[c], self.basis[t])
         return out
 
     def contains(self, v) -> bool:
@@ -151,6 +130,23 @@ class Subspace:
         """Non-pivot coordinates: representatives of the quotient basis."""
         pivset = set(self.pivots)
         return tuple(c for c in range(self.ambient) if c not in pivset)
+
+    def quotient_maps(self):
+        """``(proj, reps, comp)`` for F^ambient modulo this subspace.
+
+        ``comp`` are the complement coordinates, ``proj`` (len(comp) x
+        ambient) sends each standard vector to the complement coordinates
+        of its residual, and ``reps`` is the section picking standard
+        representatives.
+        """
+        f = self.field
+        comp = list(self.complement_indices())
+        proj = f.zeros((len(comp), self.ambient))
+        for c in range(self.ambient):
+            e = f.zeros(self.ambient)
+            e[c] = f.one
+            proj[:, c] = self.reduce(e)[comp]
+        return proj, f.eye(self.ambient)[:, comp], tuple(comp)
 
 
 def subspace_from_rows(f: Field, ambient: int, rows) -> Subspace:
@@ -187,10 +183,7 @@ def kernel(f: Field, a) -> Subspace:
     for c in free:
         v = f.zeros(n)
         v[c] = f.one
-        for t, pc in enumerate(piv):
-            v[pc] = -r[t, c]
-        if isinstance(f, PrimeField):
-            v = v % f.p
+        v[list(piv)] = f.neg(r[: len(piv), c])
         rows.append(v)
     return subspace_from_rows(f, n, rows)
 
@@ -199,11 +192,6 @@ def image(f: Field, a) -> Subspace:
     """Column span in canonical form."""
     a = np.asarray(a)
     return subspace_from_rows(f, a.shape[0], [a[:, j] for j in range(a.shape[1])])
-
-
-def row_space(f: Field, a) -> Subspace:
-    a = np.asarray(a)
-    return subspace_from_rows(f, a.shape[1], [a[i] for i in range(a.shape[0])])
 
 
 def solve(f: Field, a, b):
@@ -245,7 +233,7 @@ def subspace_intersection(u: Subspace, v: Subspace) -> Subspace:
         return zero_subspace(f, u.ambient)
     stacked = f.zeros((u.ambient, u.dim + v.dim))
     stacked[:, : u.dim] = u.basis.T
-    stacked[:, u.dim :] = -v.basis.T if not isinstance(f, PrimeField) else (-v.basis.T) % f.p
+    stacked[:, u.dim :] = f.neg(v.basis.T)
     ker = kernel(f, stacked)
     rows = [matmul(f, u.basis.T, ker.basis[t, : u.dim]) for t in range(ker.dim)]
     return subspace_from_rows(f, u.ambient, rows)
@@ -271,22 +259,3 @@ def swap_permutation(d: int, e: int) -> np.ndarray:
         for j in range(e):
             dst[i * e + j] = j * d + i
     return dst
-
-
-def middle_swap_permutation(d: int) -> np.ndarray:
-    """dst indices of id (x) flip (x) id on B4: (i,j,k,l) |-> (i,k,j,l)."""
-    dst = np.empty(d ** 4, dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    src = ((i * d + j) * d + k) * d + l
-                    dst[src] = ((i * d + k) * d + j) * d + l
-    return dst
-
-
-def permute_vector(v, dst):
-    """Apply the permutation: out[dst[s]] = v[s]."""
-    out = np.empty_like(v)
-    out[dst] = v
-    return out

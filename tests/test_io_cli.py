@@ -1,5 +1,6 @@
 """Document round-trips, shipped fixtures, CLI reports and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import hopfkit
+import hopfkit.cli
 from hopfkit.errors import ParseError, VerificationError
 from hopfkit.io import (
     document_to_text,
@@ -190,3 +192,149 @@ def test_cli_dualcheck():
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["ok"] is True and doc["dim_cofree_of_dual"] == 4
+
+
+# sha256 of stdout and the exit code of every bialgebra command run with
+# --matrices on the cheap shipped fixtures, monoids also lifted over F3.
+# Reports are a stable interface, so any change in a report byte shows up
+# here.
+GOLDEN_MATRICES = {
+    ("boxslash", "dual_radford_2", "Q"): (0, "a5e3174a7b860ccfc62c4786159d2fee7c6194cd07b83b0b8c7938fde8d00223"),
+    ("boxslash", "monoid_cyclic_2", "F3"): (0, "0c42a6c878b29fe6636e78e9f5e94dbb9c2319d30353a1b7e0c86fcb94442990"),
+    ("boxslash", "monoid_cyclic_2", "Q"): (0, "0c42a6c878b29fe6636e78e9f5e94dbb9c2319d30353a1b7e0c86fcb94442990"),
+    ("boxslash", "monoid_transform_2", "F3"): (0, "deb89bfec9abfce590878aa626584c8051f5c40c782a1c29953cd33605576b29"),
+    ("boxslash", "monoid_transform_2", "Q"): (0, "deb89bfec9abfce590878aa626584c8051f5c40c782a1c29953cd33605576b29"),
+    ("cocofree", "dual_radford_2", "Q"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("cocofree", "monoid_cyclic_2", "F3"): (0, "27a5b743bc51f01dca051a7717834df9f53738b46fd7ec67c1ddc696dc977e18"),
+    ("cocofree", "monoid_cyclic_2", "Q"): (0, "27a5b743bc51f01dca051a7717834df9f53738b46fd7ec67c1ddc696dc977e18"),
+    ("cocofree", "monoid_transform_2", "F3"): (0, "f4205b6453a218859e58b63356218bb97e1ac099e90a4daa7963a77771be7e82"),
+    ("cocofree", "monoid_transform_2", "Q"): (0, "f4205b6453a218859e58b63356218bb97e1ac099e90a4daa7963a77771be7e82"),
+    ("cofree", "dual_radford_2", "Q"): (0, "367f1584f82158c02e0c3e2aaa8bc130db49463a3a8610a403574020094d8591"),
+    ("cofree", "monoid_cyclic_2", "F3"): (0, "ca1e69243a9418820dc19c89646c9834b257d21b7cba62a6434288a715ea774e"),
+    ("cofree", "monoid_cyclic_2", "Q"): (0, "ca1e69243a9418820dc19c89646c9834b257d21b7cba62a6434288a715ea774e"),
+    ("cofree", "monoid_transform_2", "F3"): (0, "196a0c9b0e6dca790d6a56828b5728ef4fd1ec26addb67ff2d1342927bf163cc"),
+    ("cofree", "monoid_transform_2", "Q"): (0, "196a0c9b0e6dca790d6a56828b5728ef4fd1ec26addb67ff2d1342927bf163cc"),
+    ("dualcheck", "dual_radford_2", "Q"): (0, "1902c16b2e3d27ce26388650c9019ea7d6037c7a375e547d445b5c2047f4cb1a"),
+    ("dualcheck", "monoid_cyclic_2", "F3"): (0, "31b67a0dc6b760430f9dfcd17715875f958bab1e692fcf47c9bacd03f6cbff79"),
+    ("dualcheck", "monoid_cyclic_2", "Q"): (0, "31b67a0dc6b760430f9dfcd17715875f958bab1e692fcf47c9bacd03f6cbff79"),
+    ("dualcheck", "monoid_transform_2", "F3"): (0, "1902c16b2e3d27ce26388650c9019ea7d6037c7a375e547d445b5c2047f4cb1a"),
+    ("dualcheck", "monoid_transform_2", "Q"): (0, "1902c16b2e3d27ce26388650c9019ea7d6037c7a375e547d445b5c2047f4cb1a"),
+    ("envelope", "dual_radford_2", "Q"): (0, "99f02b439b73fb1f70c27aede2f474ef2e2166ecf453f81ebb96d354c2122313"),
+    ("envelope", "monoid_cyclic_2", "F3"): (0, "ca6e01c04dd055375176cc36a43ce9fb8b5f22ce93a95638c81a65015587b4b1"),
+    ("envelope", "monoid_cyclic_2", "Q"): (0, "ca6e01c04dd055375176cc36a43ce9fb8b5f22ce93a95638c81a65015587b4b1"),
+    ("envelope", "monoid_transform_2", "F3"): (0, "19d397c0854fa79cca880a2f099d8a6b56605099f6bbda6ba8ba9f2c281cca44"),
+    ("envelope", "monoid_transform_2", "Q"): (0, "19d397c0854fa79cca880a2f099d8a6b56605099f6bbda6ba8ba9f2c281cca44"),
+    ("frobenius", "dual_radford_2", "Q"): (0, "a902ec26b52032ead5ccc6b85eac5a74c32ee3a479d251ca51b3d16db7c4a160"),
+    ("frobenius", "monoid_cyclic_2", "F3"): (0, "ebf030e2a42a796cff9db15a353aa6af508a8d320d17419756364baaf16d9ed8"),
+    ("frobenius", "monoid_cyclic_2", "Q"): (0, "ebf030e2a42a796cff9db15a353aa6af508a8d320d17419756364baaf16d9ed8"),
+    ("frobenius", "monoid_transform_2", "F3"): (0, "a902ec26b52032ead5ccc6b85eac5a74c32ee3a479d251ca51b3d16db7c4a160"),
+    ("frobenius", "monoid_transform_2", "Q"): (0, "a902ec26b52032ead5ccc6b85eac5a74c32ee3a479d251ca51b3d16db7c4a160"),
+    ("nantipode", "dual_radford_2", "Q"): (0, "ef5dc94526f63077ce300abb1ed2d6c0f881c198690de8c0fb94018afed1cbab"),
+    ("nantipode", "monoid_cyclic_2", "F3"): (0, "0ec9215482a1af41dbc4dbc3c46551dc0ce77860b04802ef435517db6795978d"),
+    ("nantipode", "monoid_cyclic_2", "Q"): (0, "0ec9215482a1af41dbc4dbc3c46551dc0ce77860b04802ef435517db6795978d"),
+    ("nantipode", "monoid_transform_2", "F3"): (0, "ceb6799edf29d2046c59ef139dfe27b6586f90efb1dfc92bd877fd3a580a5ae3"),
+    ("nantipode", "monoid_transform_2", "Q"): (0, "ceb6799edf29d2046c59ef139dfe27b6586f90efb1dfc92bd877fd3a580a5ae3"),
+    ("oslash", "dual_radford_2", "Q"): (0, "fa9e13f6141abfa2cae8c8af7220ee128ded0138606670d4531e539ef5faa8ad"),
+    ("oslash", "monoid_cyclic_2", "F3"): (0, "0908ba0d1fe7164dcee6f8e9a4df345194dc6520fe251e60b5d582713bd7ed16"),
+    ("oslash", "monoid_cyclic_2", "Q"): (0, "0908ba0d1fe7164dcee6f8e9a4df345194dc6520fe251e60b5d582713bd7ed16"),
+    ("oslash", "monoid_transform_2", "F3"): (0, "16a4321ab15f10dee63198dd872ea9c913d4f9a201f475c047f052ae0a516acd"),
+    ("oslash", "monoid_transform_2", "Q"): (0, "f4baf905df9811408830a8c9bef86be3e3901fb0db2462fd7f47ec686c61a9a9"),
+    ("verify", "dual_radford_2", "Q"): (0, "23a964a5661c898641f030e7472ad21bf92242f14f00dce4d9519c998852f179"),
+    ("verify", "monoid_cyclic_2", "F3"): (0, "e363902b8aeb9d721f4dfd0e1b0d54ac4be5704e9cdbaac6d6444c3a642e7db5"),
+    ("verify", "monoid_cyclic_2", "Q"): (0, "b6da72d7056394659401908b3cff942b719264574ab8d3c588dd15e8a21af13d"),
+    ("verify", "monoid_transform_2", "F3"): (0, "790c82310c537432c8d34a4e08ac2acee214c7c127b184485a257cd0289914f4"),
+    ("verify", "monoid_transform_2", "Q"): (0, "5906374b44c9c0a4a47cab9e92010d52f9b32bc70c72ba90942009d929771a5c"),
+}
+
+
+@pytest.mark.parametrize("command, fixture, field", sorted(GOLDEN_MATRICES))
+def test_cli_matrices_reports_are_pinned(command, fixture, field, capsys):
+    path = str(FIXTURES / f"{fixture}.json")
+    code = hopfkit.cli.main([command, path, "--field", field, "--matrices"])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_MATRICES[
+        command, fixture, field
+    ]
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: a located ParseError, exit code 2, never a traceback
+
+C2_DOC = {  # the group algebra of the cyclic group of order 2
+    "schema": "hopfkit.bialgebra/1",
+    "field": "Q",
+    "dim": 2,
+    "mult": [[0, 0, 0, 1, 1], [0, 1, 1, 1, 1], [1, 0, 1, 1, 1], [1, 1, 0, 1, 1]],
+    "comult": [[0, 0, 0, 1, 1], [1, 1, 1, 1, 1]],
+    "unit": [[0, 1, 1]],
+    "counit": [[0, 1, 1], [1, 1, 1]],
+}
+C2_MONOID = {"schema": "hopfkit.monoid/1", "size": 2, "identity": 0, "table": [[0, 1], [1, 0]]}
+
+
+def _with(doc, path, value):
+    """Deep copy of doc with the item at the key/index path replaced."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _cli_verify(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = hopfkit.cli.main(["verify", str(path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_with(C2_DOC, ["dim"], True), "bialgebra document"),
+        (_with(C2_DOC, ["mult", 1, 1], True), r"mult\[1\]"),      # index
+        (_with(C2_DOC, ["comult", 1, 0], True), r"comult\[1\]"),  # index
+        (_with(C2_DOC, ["unit", 0, 1], True), r"unit\[0\]"),      # num
+        (_with(C2_DOC, ["counit", 1, 2], True), r"counit\[1\]"),  # den
+        (_with(_with(C2_MONOID, ["size"], True), ["table"], [[0]]), "monoid document"),
+        (_with(C2_MONOID, ["identity"], False), "monoid document"),
+        (_with(C2_MONOID, ["table", 0, 1], True), r"table\[0\]\[1\]"),
+    ],
+)
+def test_bool_is_not_an_integer(doc, where, tmp_path, capsys):
+    with pytest.raises(ParseError, match=where):
+        parse_text(json.dumps(doc))
+    code, err = _cli_verify(tmp_path, capsys, doc)
+    assert code == 2 and "Traceback" not in err
+
+
+def test_sparse_section_must_be_a_list(tmp_path, capsys):
+    doc = _with(C2_DOC, ["comult"], 5)
+    with pytest.raises(ParseError, match="comult: expected a list"):
+        parse_text(json.dumps(doc))
+    code, err = _cli_verify(tmp_path, capsys, doc)
+    assert code == 2 and "Traceback" not in err
+
+
+def test_duplicate_sparse_entry_names_both_positions(tmp_path, capsys):
+    doc = _with(C2_DOC, ["mult"], C2_DOC["mult"] + [[0, 1, 1, 2, 1]])
+    with pytest.raises(ParseError, match=r"mult\[4\]: duplicate of mult\[1\]"):
+        parse_text(json.dumps(doc))
+    doc = _with(C2_DOC, ["counit"], C2_DOC["counit"] + [[0, 1, 1]])
+    with pytest.raises(ParseError, match=r"counit\[2\]: duplicate of counit\[0\]"):
+        parse_text(json.dumps(doc))
+    assert _cli_verify(tmp_path, capsys, doc)[0] == 2
+
+
+def test_dim_above_the_cap_is_rejected_before_allocating(tmp_path, capsys):
+    huge = {"schema": "hopfkit.bialgebra/1", "field": "Q", "dim": 3_000_000}
+    code, err = _cli_verify(tmp_path, capsys, huge)
+    assert code == 2 and "exceeds" in err
+    from hopfkit.io import MAX_DIM
+
+    assert MAX_DIM >= 16  # the largest dimension the tests and benchmark use
+    assert parse_text(json.dumps({**huge, "dim": MAX_DIM}), verify=False).dim == MAX_DIM
+    with pytest.raises(ParseError, match="exceeds"):
+        parse_text(json.dumps({**huge, "dim": MAX_DIM + 1}), verify=False)
