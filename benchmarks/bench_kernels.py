@@ -78,7 +78,8 @@ def main():
             )
 
     if kn.HAS_NUMBA:
-        # large prime: the direct product would overflow, numpy must block
+        # large prime: the direct product would overflow, numpy splits b into
+        # 16-bit limbs
         big_p = (1 << 31) - 1
         n = sizes[-1]
         a = random_matrix(rng, n, n, big_p)

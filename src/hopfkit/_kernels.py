@@ -1,16 +1,25 @@
 """Dense mod-p kernels: the hot loops of the prime-field lane.
 
-Row reduction is the hot kernel: it is sequential with data-dependent
-pivoting, which numpy cannot vectorize across columns, so ``rref_mod``
-has a numba ``@njit`` version and a pure-numpy twin.  The numpy lane is
-selected by setting ``HOPFKIT_NO_NUMBA=1`` in the environment (or
-automatically when numba is unavailable).
+Each kernel does only the work its output needs, after the
+delayed-reduction and limb-splitting model of FFLAS-FFPACK (Dumas,
+Giorgi & Pernet, ACM TOMS 35(3), 2008):
 
-Matrix products and Kronecker products stay on numpy in both lanes: the
-direct int64 product is exact below the overflow bound and faster than
-an njit loop there, and even the blocked variant for large primes beats
-the naive loop (see ``benchmarks/bench_kernels.py``, which keeps the
-njit product around as the measured-and-rejected alternative).
+* ``np_matmul_mod`` reduces once per product while n (p-1)**2 < 2**62,
+  the int64 bound.  Above it (p near 2**31) it splits ``b`` into 16-bit
+  limbs, ``b = hi * 2**16 + lo``, and contracts at most 2**15 inner
+  indices per chunk, so ``a @ lo`` stays below 2**62 and ``a @ hi``
+  below 2**61: two int64 products and a reduction per chunk, exact for
+  any shape.
+* ``np_rref_mod`` eliminates only the rows with a nonzero entry in the
+  pivot column, and only the columns from the pivot on: the pivot row is
+  zero to its left.
+
+Row reduction is sequential with data-dependent pivoting, so
+``rref_mod`` also has a numba ``@njit`` version.  The numpy lane is
+selected by setting ``HOPFKIT_NO_NUMBA=1`` in the environment (or
+automatically when numba is unavailable).  Matrix and Kronecker
+products stay on numpy in both lanes (``benchmarks/bench_kernels.py``
+keeps the njit product as the measured-and-rejected alternative).
 
 All kernels are exact for primes below 2**31; larger primes are handled
 by the object-dtype lane in :mod:`hopfkit.fields` and never reach this
@@ -25,6 +34,9 @@ import numpy as np
 
 #: primes below this bound fit the int64 lane without overflow
 SMALL_PRIME_BOUND = 1 << 31
+
+#: inner indices per chunk of the limb-split product at large p
+_LIMB_CHUNK = 1 << 15
 
 _DISABLED = os.environ.get("HOPFKIT_NO_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
@@ -45,17 +57,20 @@ BACKEND = "numba" if HAS_NUMBA else "numpy"
 
 
 def np_matmul_mod(a, b, p):
-    """Exact (a @ b) % p on int64 arrays with entries in [0, p)."""
+    """Exact (a @ b) % p on int64 arrays with entries in [0, p), p < 2**31."""
     n = a.shape[1]
     if n == 0:
         return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     if n * (p - 1) * (p - 1) < (1 << 62):
         return (a @ b) % p
-    # block the contraction so partial sums stay inside int64
+    # 16-bit limbs of b: over at most 2**15 inner indices a @ lo < 2**62
+    # and a @ hi < 2**61, so each chunk costs two int64 products
+    lo, hi = b & 0xFFFF, b >> 16
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    step = max(1, (1 << 62) // ((p - 1) * (p - 1)))
-    for k in range(0, n, step):
-        out = (out + a[:, k : k + step] @ b[k : k + step, :]) % p
+    for k in range(0, n, _LIMB_CHUNK):
+        ak = a[:, k : k + _LIMB_CHUNK]
+        high = (ak @ hi[k : k + _LIMB_CHUNK]) % p
+        out = (out + (high << 16) + ak @ lo[k : k + _LIMB_CHUNK]) % p
     return out
 
 
@@ -93,10 +108,12 @@ def np_rref_mod(a, p):
         piv = row + int(hits[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
-        factors = r[:, col].copy()
-        factors[row] = 0
-        r = (r - np.outer(factors, r[row])) % p
+        # rows at and below ``row`` are zero left of ``col``
+        r[row, col:] = (r[row, col:] * pow(int(r[row, col]), p - 2, p)) % p
+        rows = np.flatnonzero(r[:, col])
+        rows = rows[rows != row]
+        if rows.size:
+            r[rows, col:] = (r[rows, col:] - np.outer(r[rows, col], r[row, col:])) % p
         pivots.append(col)
         row += 1
     return r, np.array(pivots, dtype=np.int64)

@@ -227,6 +227,9 @@ class PrimeField(Field):
     def kron(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
+        if a.ndim == 1 and b.ndim == 1:
+            # the vector kron is the flattened outer product
+            return np.multiply.outer(a, b).reshape(-1) % self.p
         if self.small and a.ndim == 2 and b.ndim == 2:
             return _kernels.kron_mod(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), self.p

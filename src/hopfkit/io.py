@@ -9,10 +9,11 @@ with explicit numerator/denominator, so no floating point ever appears:
 
 Prime-field documents must use den = 1 and 0 <= num < p.  Every integer
 field rejects JSON booleans, each sparse position may appear only once,
-and ``dim`` is capped at :data:`MAX_DIM`.  Parsing verifies the bialgebra
-axioms (or the monoid axioms) and fails with a witness; serialization
-emits triples in sorted order so that parse/serialize round-trips are the
-identity on canonical documents.
+and a bialgebra's ``dim`` and a monoid's ``size`` are capped at
+:data:`MAX_DIM`.  Parsing verifies the bialgebra axioms (or the monoid
+axioms) and fails with a witness; serialization emits triples in sorted
+order so that parse/serialize round-trips are the identity on canonical
+documents.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ from .monoid import FiniteMonoid, make_monoid
 BIALGEBRA_SCHEMA = "hopfkit.bialgebra/1"
 MONOID_SCHEMA = "hopfkit.monoid/1"
 
-#: Largest accepted bialgebra dimension.  The biggest matrix the axiom
-#: check builds is kron(mult_mat, eye), with d**5 entries; over Q one entry
-#: costs about 56 bytes (an 8-byte pointer and a 48-byte Fraction), 72 at
-#: the peak of numpy's kron.  32**5 = 33,554,432 entries * 72 B = 2.4 GB,
-#: a third of a 7 GiB machine; dim 40 would already need 7.4 GB.
+#: Largest accepted bialgebra dimension, and monoid size: every command may
+#: lift a monoid to its monoid bialgebra, of dimension size.  The biggest
+#: matrix the axiom check builds is kron(mult_mat, eye), with d**5 entries;
+#: over Q one entry costs about 56 bytes (an 8-byte pointer and a 48-byte
+#: Fraction), 72 at the peak of numpy's kron.  32**5 = 33,554,432 entries
+#: * 72 B = 2.4 GB, a third of a 7 GiB machine; dim 40 would already need
+#: 7.4 GB.
 MAX_DIM = 32
 
 
@@ -106,6 +109,7 @@ def monoid_from_document(doc: dict) -> FiniteMonoid:
     _expect(doc.get("schema") == MONOID_SCHEMA, where, f"schema must be {MONOID_SCHEMA}")
     size = doc.get("size")
     _expect(_is_int(size) and size >= 1, where, "size must be a positive integer")
+    _expect(size <= MAX_DIM, where, f"size {size} exceeds the supported maximum {MAX_DIM}")
     table = doc.get("table")
     _expect(
         isinstance(table, list) and len(table) == size

@@ -46,11 +46,15 @@ def test_prime_field_ops_match_int_arithmetic(p, data):
         "mul_scalar": (f.mul(cs, y), [c * b % p for b in ys]),
         "addmul": (f.addmul(z, cs, x), [(s + c * a) % p for s, a in zip(zs, xs)]),
         "submul": (f.submul(z, cs, x), [(s - c * a) % p for s, a in zip(zs, xs)]),
+        "kron": (f.kron(x, y[:-1]), [a * b % p for a in xs for b in ys[:-1]]),
     }
     for name, (got, want) in expected.items():
         assert np.asarray(got).dtype == f.dtype, name
         assert _ints(got) == want, name
         assert all(0 <= v < p for v in _ints(got)), name
+    # the vector kron is the same array as numpy's, dtype included
+    got, want = expected["kron"][0], np.kron(x, y[:-1]) % p
+    assert got.dtype == want.dtype and f.equal(got, want)
     scalar = f.addmul(f.scalar(xs[0]), cs, f.scalar(ys[0]))
     assert int(scalar) == (xs[0] + c * ys[0]) % p
     assert f.equal(x, f.array(xs))

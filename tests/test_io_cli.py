@@ -11,15 +11,18 @@ import pytest
 
 import hopfkit
 import hopfkit.cli
+from hopfkit import families
 from hopfkit.errors import ParseError, VerificationError
+from hopfkit.fields import PrimeField
 from hopfkit.io import (
+    MAX_DIM,
     document_to_text,
     parse_path,
     parse_text,
     serialize_bialgebra,
     serialize_monoid,
 )
-from hopfkit.monoid import FiniteMonoid, monogenic
+from hopfkit.monoid import FiniteMonoid, monogenic, monoid_bialgebra
 
 FIXTURES = Path(hopfkit.__file__).parent / "fixtures"
 
@@ -332,9 +335,63 @@ def test_dim_above_the_cap_is_rejected_before_allocating(tmp_path, capsys):
     huge = {"schema": "hopfkit.bialgebra/1", "field": "Q", "dim": 3_000_000}
     code, err = _cli_verify(tmp_path, capsys, huge)
     assert code == 2 and "exceeds" in err
-    from hopfkit.io import MAX_DIM
-
     assert MAX_DIM >= 16  # the largest dimension the tests and benchmark use
     assert parse_text(json.dumps({**huge, "dim": MAX_DIM}), verify=False).dim == MAX_DIM
     with pytest.raises(ParseError, match="exceeds"):
         parse_text(json.dumps({**huge, "dim": MAX_DIM + 1}), verify=False)
+
+
+def _cyclic_group_doc(n):
+    return {"schema": "hopfkit.monoid/1", "size": n, "identity": 0,
+            "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
+
+
+def test_monoid_size_above_the_cap_is_rejected(tmp_path, capsys):
+    # every command may lift a monoid to a bialgebra of dimension size
+    assert parse_text(json.dumps(_cyclic_group_doc(MAX_DIM))).size == MAX_DIM
+    with pytest.raises(ParseError, match=f"monoid document: size {MAX_DIM + 1} exceeds"):
+        parse_text(json.dumps(_cyclic_group_doc(MAX_DIM + 1)))
+    # rejected before the table is read
+    with pytest.raises(ParseError, match="size 1000 exceeds"):
+        parse_text(json.dumps({**_cyclic_group_doc(1), "size": 1000}))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_cyclic_group_doc(MAX_DIM + 1)))
+    for argv in (["verify", str(path)], ["monoid", "units", str(path)]):
+        assert hopfkit.cli.main(argv) == 2
+        assert "exceeds" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the int64 lane at its last prime 2**31 - 1 against the object lane at
+# 2**61 - 1: the same reports, field name aside
+
+LANE_EDGE_FAMILIES = {
+    "quotient_quantum_plane": families.quotient_quantum_plane,
+    "sweedler_h4": families.sweedler_h4,
+    "radford_dual_2": lambda f: families.radford_dual(2, f),
+    "radford_dual_3": lambda f: families.radford_dual(3, f),
+    "radford_unit_matrix2": lambda f: families.radford_adjoin_unit(
+        *families.matrix_coalgebra(2, f), field=f),
+    "monogenic_2_3": lambda f: monoid_bialgebra(monogenic(2, 3), f),
+}
+LANE_EDGE_COMMANDS = ("verify", "oslash", "boxslash", "frobenius", "nantipode",
+                      "envelope", "cofree", "dualcheck")
+
+
+@pytest.mark.parametrize("family", sorted(LANE_EDGE_FAMILIES))
+def test_int64_lane_edge_matches_object_lane(family, tmp_path, capsys):
+    paths = []
+    for p in ((1 << 31) - 1, (1 << 61) - 1):
+        f = PrimeField(p)
+        path = tmp_path / f"{family}.{f.name}.json"
+        path.write_text(document_to_text(serialize_bialgebra(LANE_EDGE_FAMILIES[family](f))))
+        paths.append(str(path))
+    for command in LANE_EDGE_COMMANDS:
+        reports = []
+        for path in paths:
+            code = hopfkit.cli.main([command, path])
+            report = json.loads(capsys.readouterr().out)
+            assert code == 0, (command, path)
+            report.pop("field", None)
+            reports.append(report)
+        assert reports[0] == reports[1], command

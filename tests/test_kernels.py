@@ -1,5 +1,5 @@
-"""Kernel lanes must agree entry for entry, and stay exact near the
-int64 overflow boundary."""
+"""Kernel lanes must agree entry for entry with the generic elimination
+over the same field, and stay exact near the int64 overflow boundary."""
 
 import random
 
@@ -7,21 +7,52 @@ import numpy as np
 import pytest
 
 from hopfkit import _kernels as kn
+from hopfkit.fields import PrimeField, is_prime
+from hopfkit.linalg import _rref_object
 
 
 def _random_matrix(rng, m, n, p):
     return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64)
 
 
+def _sparse_matrix(rng, m, n, p, density):
+    return np.array(
+        [[rng.randrange(1, p) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(m)],
+        dtype=np.int64,
+    )
+
+
+RREF_PRIMES = (2, 3, 97, (1 << 31) - 1)
+
+
+def _rref_cases(rng, p):
+    """Random, tall mostly-zero, wide, zero-column and empty matrices."""
+    for _ in range(6):
+        yield _random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
+    for density in (0.05, 0.15, 0.4):
+        yield _sparse_matrix(rng, 60, 12, p, density)
+        yield _sparse_matrix(rng, 8, 30, p, density)
+    with_zero_columns = _random_matrix(rng, 7, 9, p)
+    with_zero_columns[:, [0, 3, 4, 8]] = 0
+    yield with_zero_columns
+    yield np.zeros((5, 4), dtype=np.int64)
+    for shape in ((0, 5), (5, 0), (0, 0)):
+        yield np.zeros(shape, dtype=np.int64)
+
+
 def test_rref_lanes_agree():
+    # the reference is the generic elimination over the same PrimeField
     rng = random.Random(5)
-    for p in (2, 3, 5, 97):
-        for _ in range(6):
-            a = _random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7), p)
-            r1, piv1 = kn.rref_mod(a, p)
-            r2, piv2 = kn.np_rref_mod(a, p)
-            assert np.array_equal(r1, r2)
-            assert np.array_equal(piv1, piv2)
+    for p in RREF_PRIMES:
+        f = PrimeField(p)
+        for a in _rref_cases(rng, p):
+            want, want_piv = _rref_object(f, a)
+            for kernel in (kn.rref_mod, kn.np_rref_mod):
+                r, piv = kernel(a, p)
+                assert r.dtype == np.int64 and r.shape == a.shape
+                assert np.array_equal(r, want), (p, a)
+                assert tuple(int(c) for c in piv) == want_piv, (p, a)
 
 
 @pytest.mark.skipif(not kn.HAS_NUMBA, reason="numba lane unavailable")
@@ -58,18 +89,31 @@ def test_rref_mod_properties():
     assert np.array_equal(r, r2) and np.array_equal(piv, piv2)
 
 
-def test_blocked_matmul_path_for_large_prime():
-    # prime large enough that the direct numpy product would overflow int64
-    p = (1 << 31) - 1  # Mersenne prime, the edge of the int64 lane
-    rng = random.Random(11)
-    a = _random_matrix(rng, 3, 40, p)
-    b = _random_matrix(rng, 40, 3, p)
-    expected = np.array(
-        [
-            [sum(int(a[i, k]) * int(b[k, j]) for k in range(40)) % p for j in range(3)]
-            for i in range(3)
-        ],
+def _reference_product(a, b, p):
+    """(a @ b) % p in Python ints."""
+    return np.array(
+        [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a],
         dtype=np.int64,
     )
-    assert np.array_equal(kn.np_matmul_mod(a, b, p), expected)
-    assert np.array_equal(kn.matmul_mod(a, b, p), expected)
+
+
+# 2**31 - 1 is the last prime of the int64 lane, 2147483629 the one below it
+LARGE_PRIMES = ((1 << 31) - 1, 2147483629)
+
+
+def test_blocked_matmul_path_for_large_prime():
+    # primes large enough that the direct numpy product would overflow int64
+    rng = random.Random(11)
+    for p in LARGE_PRIMES:
+        assert is_prime(p) and p < kn.SMALL_PRIME_BOUND
+        cases = [(_random_matrix(rng, 3, 40, p), _random_matrix(rng, 40, 3, p))]
+        # all entries p - 1 across the limb chunk boundary at 2**15 inner
+        # indices, and at 2**17, where one unchunked limb product would
+        # overflow int64; row x column vectors keep long contractions cheap
+        for n in (1, 40, 1 << 15, (1 << 15) + 1, 1 << 17):
+            cases.append((np.full((1, n), p - 1), np.full((n, 1), p - 1)))
+            cases.append((np.full((2, n), p - 1), _random_matrix(rng, n, 2, p)))
+        for a, b in cases:
+            expected = _reference_product(a, b, p)
+            assert np.array_equal(kn.np_matmul_mod(a, b, p), expected), (p, a.shape)
+            assert np.array_equal(kn.matmul_mod(a, b, p), expected), (p, a.shape)
