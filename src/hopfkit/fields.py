@@ -1,10 +1,10 @@
 """Exact scalar fields: arbitrary-precision rationals and GF(p).
 
-Matrices over the rationals are numpy object arrays holding ``gmpy2.mpq``
-values (``fractions.Fraction`` when gmpy2 is unavailable); matrices over
-GF(p) with p < 2**31 are int64 arrays with entries in [0, p) routed
-through the kernels in :mod:`hopfkit._kernels`.  Larger primes fall back
-to object arrays of Python ints, still exact.
+Matrices over the rationals are numpy object arrays holding
+``fractions.Fraction`` values; matrices over GF(p) with p < 2**31 are
+int64 arrays with entries in [0, p) routed through the kernels in
+:mod:`hopfkit._kernels`.  Larger primes fall back to object arrays of
+Python ints, still exact.
 
 All arithmetic is exact; there is no tolerance anywhere in the package.
 
@@ -19,15 +19,14 @@ Over Q the same operations are plain arithmetic.
 
 from __future__ import annotations
 
+import re
+import reprlib
+from fractions import Fraction
+
 import numpy as np
 
 from . import _kernels
 from .errors import FieldMismatchError, HopfkitError
-
-try:
-    from gmpy2 import mpq as _RAT
-except ImportError:  # gmpy2 is the optional ``fast`` extra
-    from fractions import Fraction as _RAT
 
 
 def is_prime(n: int) -> bool:
@@ -113,25 +112,25 @@ class RationalField(Field):
     characteristic = 0
 
     def __init__(self):
-        self.zero = _RAT(0)
-        self.one = _RAT(1)
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
 
     def scalar(self, x):
         if isinstance(x, (tuple, list)):
             num, den = x
-            return _RAT(int(num), int(den))
-        return _RAT(x)
+            return Fraction(int(num), int(den))
+        return Fraction(x)
 
     def from_pair(self, num, den):
         if den == 0:
             raise HopfkitError("zero denominator")
-        return _RAT(int(num), int(den))
+        return Fraction(int(num), int(den))
 
     def inv(self, x):
         return self.one / x
 
     def scalar_pair(self, x):
-        q = _RAT(x)
+        q = Fraction(x)
         return int(q.numerator), int(q.denominator)
 
     def format_scalar(self, x):
@@ -170,10 +169,12 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         p = int(p)
+        # the bound first: Miller-Rabin on a huge number takes seconds, and
+        # str() refuses integers of more than 4300 digits
+        if p >= (1 << 61):
+            raise HopfkitError("prime field characteristic out of supported range (< 2**61)")
         if not is_prime(p):
             raise HopfkitError(f"{p} is not prime")
-        if p >= (1 << 61):
-            raise HopfkitError(f"prime {p} out of supported range (< 2**61)")
         self.p = p
         self.name = f"F{p}"
         self.characteristic = p
@@ -230,10 +231,6 @@ class PrimeField(Field):
         if a.ndim == 1 and b.ndim == 1:
             # the vector kron is the flattened outer product
             return np.multiply.outer(a, b).reshape(-1) % self.p
-        if self.small and a.ndim == 2 and b.ndim == 2:
-            return _kernels.kron_mod(
-                np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64), self.p
-            )
         # kron never accumulates: entry products stay below p**2
         return np.kron(a, b) % self.p
 
@@ -264,11 +261,17 @@ class PrimeField(Field):
 QQ = RationalField()
 
 
+#: ``F`` and the decimal digits of p; p < 2**61 has at most 19 of them
+_PRIME_TAG = re.compile(r"F([0-9]{1,19})")
+
+
 def parse_field(tag: str) -> Field:
     """Parse a field tag: ``"Q"`` or ``"F<p>"`` with p prime."""
-    tag = tag.strip()
-    if tag == "Q":
-        return QQ
-    if tag.startswith("F") and tag[1:].isdigit():
-        return PrimeField(int(tag[1:]))
-    raise HopfkitError(f"unknown field tag {tag!r} (expected Q or F<p>)")
+    if isinstance(tag, str):
+        tag = tag.strip()
+        if tag == "Q":
+            return QQ
+        match = _PRIME_TAG.fullmatch(tag)
+        if match:
+            return PrimeField(int(match[1]))
+    raise HopfkitError(f"unknown field tag {reprlib.repr(tag)} (expected Q or F<p>)")

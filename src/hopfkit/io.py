@@ -10,7 +10,8 @@ with explicit numerator/denominator, so no floating point ever appears:
 Prime-field documents must use den = 1 and 0 <= num < p.  Every integer
 field rejects JSON booleans, each sparse position may appear only once,
 and a bialgebra's ``dim`` and a monoid's ``size`` are capped at
-:data:`MAX_DIM`.  Parsing verifies the bialgebra axioms (or the monoid
+:data:`MAX_DIM`.  Optional ``labels`` are strings, distinct in a monoid
+document.  Parsing verifies the bialgebra axioms (or the monoid
 axioms) and fails with a witness; serialization emits triples in sorted
 order so that parse/serialize round-trips are the identity on canonical
 documents.
@@ -68,19 +69,25 @@ def bialgebra_from_document(doc: dict, verify: bool = True) -> Bialgebra:
     dim = doc.get("dim")
     _expect(_is_int(dim) and dim >= 1, where, "dim must be a positive integer")
     _expect(dim <= MAX_DIM, where, f"dim {dim} exceeds the supported maximum {MAX_DIM}")
-    labels = doc.get("labels")
-    if labels is not None:
-        _expect(
-            isinstance(labels, list) and len(labels) == dim, where,
-            "labels must list one string per basis vector",
-        )
+    labels = _labels(doc, dim, where, "basis vector")
     mult = _sparse_tensor(doc, "mult", "ijk", field, dim)
     comult = _sparse_tensor(doc, "comult", "kij", field, dim)
     unit = _sparse_tensor(doc, "unit", "i", field, dim)
     counit = _sparse_tensor(doc, "counit", "i", field, dim)
-    b = make_bialgebra(field, mult, comult, unit, counit,
-                       tuple(labels) if labels else None)
+    b = make_bialgebra(field, mult, comult, unit, counit, labels)
     return assert_valid(b) if verify else b
+
+
+def _labels(doc, count, where, per):
+    """``doc["labels"]`` as a tuple of ``count`` strings, or None if absent."""
+    labels = doc.get("labels")
+    if labels is None:
+        return None
+    _expect(isinstance(labels, list) and len(labels) == count, where,
+            f"labels must list one string per {per}")
+    for t, label in enumerate(labels):
+        _expect(isinstance(label, str), f"labels[{t}]", "expected a string")
+    return tuple(labels)
 
 
 def _sparse_tensor(doc, key, axes, field, dim):
@@ -123,13 +130,15 @@ def monoid_from_document(doc: dict) -> FiniteMonoid:
     identity = doc.get("identity")
     _expect(_is_int(identity) and 0 <= identity < size, where,
             "identity index out of range")
-    labels = doc.get("labels")
+    labels = _labels(doc, size, where, "element")
     if labels is not None:
-        _expect(isinstance(labels, list) and len(labels) == size, where,
-                "labels must list one string per element")
+        # the units report is keyed by label
+        seen = {}
+        for t, label in enumerate(labels):
+            _expect(label not in seen, f"labels[{t}]", f"duplicate of labels[{seen.get(label)}]")
+            seen[label] = t
     try:
-        return make_monoid(table, identity=identity,
-                           labels=tuple(labels) if labels else None)
+        return make_monoid(table, identity=identity, labels=labels)
     except HopfkitError as exc:
         raise ParseError(f"{where}: {exc}") from exc
 

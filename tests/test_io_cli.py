@@ -12,7 +12,7 @@ import pytest
 import hopfkit
 import hopfkit.cli
 from hopfkit import families
-from hopfkit.errors import ParseError, VerificationError
+from hopfkit.errors import HopfkitError, ParseError, VerificationError
 from hopfkit.fields import PrimeField
 from hopfkit.io import (
     MAX_DIM,
@@ -359,6 +359,66 @@ def test_monoid_size_above_the_cap_is_rejected(tmp_path, capsys):
     for argv in (["verify", str(path)], ["monoid", "units", str(path)]):
         assert hopfkit.cli.main(argv) == 2
         assert "exceeds" in capsys.readouterr().err
+
+
+# field tags are Q or F and 1-19 ASCII digits: p < 2**61 has at most 19
+
+BAD_FIELD_TAGS = {
+    "superscript_digit": "F\u00b2",
+    "arabic_indic_digit": "F\u0663",
+    "past_the_int_digit_limit": "F" + "7" * 5000,
+    "4001_digits": "F" + "1" * 4001,
+    "20_digits": "F" + "0" * 19 + "2",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(BAD_FIELD_TAGS))
+def test_bad_field_tag_exits_two(tag, tmp_path, capsys):
+    tag = BAD_FIELD_TAGS[tag]
+    monoid = str(FIXTURES / "monoid_cyclic_2.json")
+    for argv in (["monoid", "envgroup", monoid, "--field", tag],
+                 ["verify", monoid, "--field", tag]):
+        assert hopfkit.cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown field tag" in err and len(err) < 200  # no 4000-digit echo
+    doc = _with(C2_DOC, ["field"], tag)
+    with pytest.raises(ParseError, match="unknown field tag"):
+        parse_text(json.dumps(doc))
+    code, err = _cli_verify(tmp_path, capsys, doc)
+    assert code == 2 and "unknown field tag" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("tag", [7, None, ["Q"]])
+def test_document_field_must_be_a_string(tag):
+    with pytest.raises(ParseError, match="unknown field tag"):
+        parse_text(json.dumps(_with(C2_DOC, ["field"], tag)))
+
+
+def test_prime_range_is_checked_before_primality():
+    assert PrimeField((1 << 61) - 1).name == "F2305843009213693951"
+    for p in ((1 << 61) + 1, 10**5000):  # divisible by 3; past str()'s digit limit
+        with pytest.raises(HopfkitError, match="out of supported range"):
+            PrimeField(p)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({**C2_DOC, "labels": [1, "g"]}, r"labels\[0\]: expected a string"),
+        ({**C2_DOC, "labels": [["1"], ["g"]]}, r"labels\[0\]: expected a string"),
+        ({**C2_MONOID, "labels": [1, "g"]}, r"labels\[0\]: expected a string"),
+        ({**C2_MONOID, "labels": [[1], [2]]}, r"labels\[0\]: expected a string"),
+        ({**C2_MONOID, "labels": ["1", "1"]}, r"labels\[1\]: duplicate of labels\[0\]"),
+    ],
+)
+def test_labels_are_strings_and_monoid_labels_distinct(doc, where, tmp_path, capsys):
+    with pytest.raises(ParseError, match=where):
+        parse_text(json.dumps(doc))
+    command = ["monoid", "units"] if doc["schema"] == C2_MONOID["schema"] else ["verify"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert hopfkit.cli.main([*command, str(path)]) == 2
+    assert "labels[" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Kernel lanes must agree entry for entry with the generic elimination
-over the same field, and stay exact near the int64 overflow boundary."""
+"""The mod-p kernels must agree entry for entry with the generic
+elimination over the same field, and stay exact near the int64 overflow
+boundary."""
 
 import random
 
@@ -48,33 +49,24 @@ def test_rref_lanes_agree():
         f = PrimeField(p)
         for a in _rref_cases(rng, p):
             want, want_piv = _rref_object(f, a)
-            for kernel in (kn.rref_mod, kn.np_rref_mod):
-                r, piv = kernel(a, p)
-                assert r.dtype == np.int64 and r.shape == a.shape
-                assert np.array_equal(r, want), (p, a)
-                assert tuple(int(c) for c in piv) == want_piv, (p, a)
+            r, piv = kn.rref_mod(a, p)
+            assert r.dtype == np.int64 and r.shape == a.shape
+            assert np.array_equal(r, want), (p, a)
+            assert tuple(int(c) for c in piv) == want_piv, (p, a)
 
 
-@pytest.mark.skipif(not kn.HAS_NUMBA, reason="numba lane unavailable")
-def test_matmul_reference_loop_agrees():
-    rng = random.Random(3)
-    for p in (2, 3, 5, 1_000_000_007):
-        a = _random_matrix(rng, 7, 5, p)
-        b = _random_matrix(rng, 5, 6, p)
-        assert np.array_equal(kn.matmul_mod(a, b, p), kn._nb_matmul_mod(a, b, p))
-
-
-def test_kron_mod_defining_property():
+def test_kron_defining_property():
     rng = random.Random(9)
-    p = 7
-    a = _random_matrix(rng, 3, 4, p)
-    b = _random_matrix(rng, 2, 5, p)
-    k = kn.kron_mod(a, b, p)
-    assert k.shape == (6, 20)
-    for i in range(3):
-        for j in range(4):
-            block = k[2 * i : 2 * i + 2, 5 * j : 5 * j + 5]
-            assert np.array_equal(block, (a[i, j] * b) % p)
+    for p in (7, (1 << 61) - 1):  # the int64 lane and the object lane
+        f = PrimeField(p)
+        a = f.array([[rng.randrange(p) for _ in range(4)] for _ in range(3)])
+        b = f.array([[rng.randrange(p) for _ in range(5)] for _ in range(2)])
+        k = f.kron(a, b)
+        assert k.shape == (6, 20) and k.dtype == f.dtype
+        for i in range(3):
+            for j in range(4):
+                block = k[2 * i : 2 * i + 2, 5 * j : 5 * j + 5]
+                assert f.equal(block, f.mul(a[i, j], b)), p
 
 
 def test_rref_mod_properties():
@@ -115,5 +107,12 @@ def test_blocked_matmul_path_for_large_prime():
             cases.append((np.full((2, n), p - 1), _random_matrix(rng, n, 2, p)))
         for a, b in cases:
             expected = _reference_product(a, b, p)
-            assert np.array_equal(kn.np_matmul_mod(a, b, p), expected), (p, a.shape)
             assert np.array_equal(kn.matmul_mod(a, b, p), expected), (p, a.shape)
+
+
+@pytest.mark.parametrize("p", [3, (1 << 31) - 1])
+def test_empty_inner_dimension_gives_zeros(p):
+    a = np.zeros((3, 0), dtype=np.int64)
+    b = np.zeros((0, 4), dtype=np.int64)
+    out = kn.matmul_mod(a, b, p)
+    assert out.dtype == np.int64 and np.array_equal(out, np.zeros((3, 4)))

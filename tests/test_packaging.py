@@ -1,5 +1,4 @@
-"""Package metadata: the accelerators are optional extras, not hard
-dependencies, because each import has a tested fallback."""
+"""Package metadata: numpy is the one runtime dependency."""
 
 from pathlib import Path
 
@@ -10,9 +9,8 @@ tomllib = pytest.importorskip("tomllib")
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
-def test_accelerators_are_an_optional_extra():
+def test_numpy_is_the_only_dependency():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     hard = {dep.split(">")[0].split("=")[0] for dep in project["dependencies"]}
     assert hard == {"numpy"}
-    fast = {dep.split(">")[0] for dep in project["optional-dependencies"]["fast"]}
-    assert fast == {"numba", "gmpy2"}
+    assert "fast" not in project.get("optional-dependencies", {})
