@@ -175,16 +175,16 @@ class AxiomReport:
 def _diff_witness(diff, d, legs):
     """First nonzero column of a difference matrix as (indices, residual)."""
     diff = np.asarray(diff)
-    for col in range(diff.shape[1]):
-        if not is_zero_matrix(diff[:, col]):
-            idx = []
-            c = col
-            for _ in range(legs - 1):
-                idx.append(c % d)
-                c //= d
-            idx.append(c)
-            return tuple(reversed(idx)), diff[:, col].copy()
-    return None
+    bad = np.flatnonzero(np.any(diff != 0, axis=0))
+    if bad.size == 0:
+        return None
+    col = c = int(bad[0])
+    idx = []
+    for _ in range(legs - 1):
+        idx.append(c % d)
+        c //= d
+    idx.append(c)
+    return tuple(reversed(idx)), diff[:, col].copy()
 
 
 def verify_axioms(b: Bialgebra) -> AxiomReport:

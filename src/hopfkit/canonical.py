@@ -27,8 +27,9 @@ from .linalg import (
     kron,
     matmul,
     rank,
+    row_space,
     solve_matrix,
-    subspace_from_rows,
+    tensordot,
 )
 
 
@@ -60,18 +61,42 @@ class OslashSpace:
 
 
 def oslash_relations(b: Bialgebra) -> Subspace:
-    """The subspace (B (x) B) Delta(B+) of B (x) B."""
+    """The subspace (B (x) B) Delta(B+) of B (x) B.
+
+    It is spanned by the rows (e_i (x) e_j) Delta(h_t), h_t running over
+    the basis of B+: row (t, i, j) has entry
+    sum_{k,l} mult[i,k,a] Delta(h_t)[k,l] mult[j,l,c] at column (a, c).
+    """
     f = b.field
     d = b.dim
     bplus = augmentation_ideal(b)
-    gens = []
+    deltas = tensordot(f, bplus.basis, b.comult, ([1], [0]))  # (t, k, l)
+    rows = f.zeros((bplus.dim * d * d, d * d))
     for t in range(bplus.dim):
-        dh = b.delta(bplus.basis[t])
-        for s in range(d * d):
-            u = f.zeros(d * d)
-            u[s] = f.one
-            gens.append(b.prod2(u, dh))
-    return subspace_from_rows(f, d * d, gens)
+        left = tensordot(f, b.mult, deltas[t], ([1], [0]))  # (i, a, l)
+        both = tensordot(f, left, b.mult, ([2], [1]))  # (i, a, j, c)
+        rows[t * d * d : (t + 1) * d * d] = both.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return row_space(f, rows)
+
+
+def _action_descends(b: Bialgebra, proj, rows) -> bool:
+    """Whether proj annihilates (B (x) B) . span(rows), when ker(proj) = span(rows).
+
+    span(rows) is then a left ideal iff it is closed under the algebra
+    generators e_i (x) 1 and 1 (x) e_j, because e_i (x) e_j is their
+    product.  With P = proj as q x d x d, the two actions are
+    sum_a mult[i,k,a] P[x,a,l] and sum_c P[x,k,c] mult[j,l,c] applied to
+    the relation w[k,l].
+    """
+    f = b.field
+    d = b.dim
+    pq = proj.reshape(len(proj), d, d)
+    w = rows.reshape(len(rows), d, d)
+    left = tensordot(f, b.mult, pq, ([2], [1]))  # (i, k, x, l)
+    if not is_zero_matrix(tensordot(f, left, w, ([1, 3], [1, 2]))):
+        return False
+    right = tensordot(f, pq, b.mult, ([2], [2]))  # (x, k, j, l)
+    return is_zero_matrix(tensordot(f, right, w, ([1, 3], [1, 2])))
 
 
 def build_oslash(b: Bialgebra) -> OslashSpace:
@@ -80,36 +105,29 @@ def build_oslash(b: Bialgebra) -> OslashSpace:
     relations = oslash_relations(b)
     proj, reps, comp = relations.quotient_maps()
     q = len(comp)
+    rel_cols = relations.basis.T
 
     # pi annihilates exactly the relation subspace
     if relations.dim + q != d * d:
         raise ConstructionError("projection rank does not complement the relations")
-    for t in range(relations.dim):
-        if not is_zero_matrix(matmul(f, proj, relations.basis[t])):
-            raise ConstructionError("projection fails to annihilate a relation")
+    if not is_zero_matrix(matmul(f, proj, rel_cols)):
+        raise ConstructionError("projection fails to annihilate a relation")
 
     # quotient comultiplication Delta(x/y) = (x1/y2) (x) (x2/y1), built on
-    # all of B (x) B so well-definedness can be checked against relations
-    full = f.zeros((q * q, d * d))
-    for i in range(d):
-        di = _nonzero_pairs(b.comult[i])
-        for j in range(d):
-            dj = _nonzero_pairs(b.comult[j])
-            col = f.zeros(q * q)
-            for a, bb, ci in di:
-                for c, e, cj in dj:
-                    term = kron(f, proj[:, a * d + e], proj[:, bb * d + c])
-                    col = f.addmul(col, f.mul(ci, cj), term)
-            full[:, i * d + j] = col
-    for t in range(relations.dim):
-        if not is_zero_matrix(matmul(f, full, relations.basis[t])):
-            raise ConstructionError("quotient comultiplication is not well defined")
+    # all of B (x) B so well-definedness can be checked against relations:
+    # full[(x,y),(i,j)] = sum comult[i,a,b] comult[j,c,e] P[x,a,e] P[y,b,c]
+    pq = proj.reshape(q, d, d)
+    left = tensordot(f, b.comult, pq, ([1], [1]))  # (i, b, x, e)
+    right = tensordot(f, pq, b.comult, ([2], [1]))  # (y, b, j, e)
+    both = tensordot(f, left, right, ([1, 3], [1, 3]))  # (i, x, y, j)
+    full = both.transpose(1, 2, 0, 3).reshape(q * q, d * d)
+    if not is_zero_matrix(matmul(f, full, rel_cols)):
+        raise ConstructionError("quotient comultiplication is not well defined")
     comult_q = matmul(f, full, reps)
 
     counit2 = kron(f, b.counit_row, b.counit_row)
-    for t in range(relations.dim):
-        if matmul(f, counit2, relations.basis[t].reshape(-1, 1))[0, 0] != 0:
-            raise ConstructionError("quotient counit is not well defined")
+    if not is_zero_matrix(matmul(f, counit2, rel_cols)):
+        raise ConstructionError("quotient counit is not well defined")
     counit_q = matmul(f, counit2, reps)
 
     # coalgebra axioms on the quotient
@@ -127,13 +145,8 @@ def build_oslash(b: Bialgebra) -> OslashSpace:
             raise ConstructionError(f"quotient coalgebra fails {name}")
 
     # the left B (x) B action descends: relations absorb left multiplication
-    for t in range(relations.dim):
-        w = relations.basis[t]
-        for s in range(d * d):
-            u = f.zeros(d * d)
-            u[s] = f.one
-            if not is_zero_matrix(matmul(f, proj, b.prod2(u, w))):
-                raise ConstructionError("left action does not descend to the quotient")
+    if not _action_descends(b, proj, relations.basis):
+        raise ConstructionError("left action does not descend to the quotient")
 
     emb1 = kron(f, f.eye(d), b.unit_col)  # b |-> b (x) 1
     i_matrix = matmul(f, proj, emb1)

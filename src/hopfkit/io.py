@@ -9,12 +9,13 @@ with explicit numerator/denominator, so no floating point ever appears:
 
 Prime-field documents must use den = 1 and 0 <= num < p.  Every integer
 field rejects JSON booleans, each sparse position may appear only once,
-and a bialgebra's ``dim`` and a monoid's ``size`` are capped at
-:data:`MAX_DIM`.  Optional ``labels`` are strings, distinct in a monoid
-document.  Parsing verifies the bialgebra axioms (or the monoid
-axioms) and fails with a witness; serialization emits triples in sorted
-order so that parse/serialize round-trips are the identity on canonical
-documents.
+a bialgebra's ``dim`` and a monoid's ``size`` are capped at
+:data:`MAX_DIM`, and a rational entry's numerator and denominator at
+:data:`MAX_ENTRY` in absolute value.  Optional ``labels`` are strings,
+distinct in a monoid document.  Parsing verifies the bialgebra axioms
+(or the monoid axioms) and fails with a witness; serialization emits
+triples in sorted order so that parse/serialize round-trips are the
+identity on canonical documents.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ MONOID_SCHEMA = "hopfkit.monoid/1"
 #: 7.4 GB.
 MAX_DIM = 32
 
+#: Bound on |num| and |den| of a rational entry.  Reports print exact
+#: residuals built from sums of products of entries, and ``str`` refuses
+#: integers of more than 4300 digits; 63-bit entries keep every printed
+#: value far below that.
+MAX_ENTRY = 1 << 63
+
 
 def _expect(cond, where, msg):
     if not cond:
@@ -55,6 +62,9 @@ def _scalar_from_pair(field, num, den, where):
     if isinstance(field, PrimeField):
         _expect(den == 1, where, f"prime-field entries need denominator 1, got {den}")
         _expect(0 <= num < field.p, where, f"prime-field value {num} outside [0, {field.p})")
+    else:
+        _expect(abs(num) < MAX_ENTRY and abs(den) < MAX_ENTRY, where,
+                "|num| and |den| must be below 2**63")
     return field.from_pair(num, den)
 
 
@@ -199,6 +209,11 @@ def parse_text(text: str, verify: bool = True):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # an integer literal beyond Python's int conversion limit
+        raise ParseError("invalid JSON: integer literal too long") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
     schema = doc.get("schema")
@@ -215,5 +230,7 @@ def parse_path(path: str, verify: bool = True):
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 (byte {exc.start})") from exc
     return parse_text(text, verify=verify)
 

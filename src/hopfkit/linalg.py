@@ -17,6 +17,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -32,6 +33,30 @@ def matmul(f: Field, a, b):
 
 def kron(f: Field, a, b):
     return f.kron(a, b)
+
+
+def tensordot(f: Field, a, b, axes):
+    """``np.tensordot`` over ``f``: contract ``axes`` by one ``f.matmul``.
+
+    Both operands are transposed and reshaped to matrices, so every field
+    lane (the int64 kernels, Fraction and Python-int objects) applies.
+    ``axes`` is a pair of axis lists, summed over pairwise; the result has
+    the free axes of ``a`` followed by those of ``b``.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    a_axes = [k % a.ndim for k in axes[0]]
+    b_axes = [k % b.ndim for k in axes[1]]
+    if [a.shape[k] for k in a_axes] != [b.shape[k] for k in b_axes]:
+        raise DimensionError(f"tensordot: {a.shape} and {b.shape} over {axes}")
+    free_a = [k for k in range(a.ndim) if k not in a_axes]
+    free_b = [k for k in range(b.ndim) if k not in b_axes]
+    n = math.prod(a.shape[k] for k in a_axes)
+    shape_a = [a.shape[k] for k in free_a]
+    shape_b = [b.shape[k] for k in free_b]
+    a2 = a.transpose(free_a + a_axes).reshape(math.prod(shape_a), n)
+    b2 = b.transpose(b_axes + free_b).reshape(n, math.prod(shape_b))
+    return f.matmul(a2, b2).reshape(shape_a + shape_b)
 
 
 def rref(f: Field, a):
@@ -152,13 +177,19 @@ class Subspace:
 def subspace_from_rows(f: Field, ambient: int, rows) -> Subspace:
     """Canonicalize a spanning set given as rows (any iterable of vectors)."""
     rows = [np.asarray(r) for r in rows]
-    if not rows:
-        return Subspace(f, ambient, f.zeros((0, ambient)), ())
     m = f.zeros((len(rows), ambient))
     for t, r in enumerate(rows):
         if r.shape != (ambient,):
             raise DimensionError(f"row of shape {r.shape} in ambient {ambient}")
         m[t] = r
+    return row_space(f, m)
+
+
+def row_space(f: Field, m) -> Subspace:
+    """The span of the rows of the matrix ``m``, canonicalized."""
+    ambient = m.shape[1]
+    if m.shape[0] == 0:
+        return Subspace(f, ambient, f.zeros((0, ambient)), ())
     r, piv = rref(f, m)
     basis = r[: len(piv)].copy()
     basis.flags.writeable = False

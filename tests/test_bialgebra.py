@@ -57,6 +57,26 @@ def test_corrupted_comultiplication_fails_with_witness(qqp):
     assert report.first_failure().witness is not None
 
 
+def test_witness_is_the_first_failing_column():
+    # e_y e_xy := e_x in Sweedler's algebra; the witnesses are the first
+    # nonzero columns, none of them column 0
+    h4 = sweedler_h4(QQ)
+    mult = h4.mult.copy()
+    mult[2, 3] = QQ.array([0, 1, 0, 0])
+    broken = make_bialgebra(QQ, mult, h4.comult.copy(), h4.unit.copy(), h4.counit.copy())
+    report = verify_axioms(broken)
+    witnesses = {c.name: c.witness for c in report.failures()}
+    assert list(witnesses) == [
+        "associativity", "comult_is_algebra_map", "counit_is_algebra_map"
+    ]
+    idx, residual = witnesses["associativity"]
+    assert idx == (1, 2, 3) and list(residual) == [-1, 0, 0, 0]
+    idx, residual = witnesses["comult_is_algebra_map"]
+    assert idx == (2, 3) and list(residual) == [0] * 5 + [-1] + [0] * 10
+    idx, residual = witnesses["counit_is_algebra_map"]
+    assert idx == (2, 3) and list(residual) == [1]
+
+
 def test_op_and_cop_are_involutions(qqp):
     assert np.array_equal(op_bialgebra(op_bialgebra(qqp)).mult, qqp.mult)
     assert np.array_equal(cop_bialgebra(cop_bialgebra(qqp)).comult, qqp.comult)

@@ -1,11 +1,15 @@
 """The quotient coalgebra, the coinvariant algebra, witnesses, diagnostics."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hopfkit.bialgebra import dual_bialgebra, trivial_bialgebra
+from hopfkit.bialgebra import augmentation_ideal, dual_bialgebra, trivial_bialgebra
 from hopfkit.canonical import (
     S_witness,
     T_witness,
+    _action_descends,
     build_boxslash,
     build_oslash,
     can_matrix,
@@ -13,6 +17,13 @@ from hopfkit.canonical import (
     frobenius_report,
 )
 from hopfkit.convolution import central_n_antipode
+from hopfkit.families import (
+    matrix_coalgebra,
+    quotient_quantum_plane,
+    radford_adjoin_unit,
+    radford_dual,
+    sweedler_h4,
+)
 from hopfkit.fields import QQ, PrimeField
 from hopfkit.linalg import (
     is_zero_matrix,
@@ -21,12 +32,19 @@ from hopfkit.linalg import (
     rank,
     subspace_from_rows,
 )
-from hopfkit.monoid import cyclic_group, monogenic, monoid_bialgebra
+from hopfkit.monoid import (
+    cyclic_group,
+    direct_product,
+    full_transformation_monoid_2,
+    monogenic,
+    monoid_bialgebra,
+)
 
 from oracle_utils import all_vectors, matvec_mod
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F61 = PrimeField((1 << 61) - 1)
 
 
 def test_trivial_bialgebra_oslash_and_boxslash():
@@ -215,3 +233,129 @@ def test_oslash_quotient_coalgebra_dims_match_rank(km23):
     assert osl.dim == 3
     assert osl.counit.shape == (1, 3)
     assert osl.comult.shape == (9, 3)
+
+
+# ---------------------------------------------------------------------------
+# build_oslash against per-basis-vector prod2/kron loops
+
+
+def _unit_vector(f, n, s):
+    v = f.zeros(n)
+    v[s] = f.one
+    return v
+
+
+def _descends_brute_force(b, proj, rows):
+    """proj kills (e_s) . w for every basis vector e_s of B (x) B and row w."""
+    f, n = b.field, b.dim * b.dim
+    return all(
+        is_zero_matrix(matmul(f, proj, b.prod2(_unit_vector(f, n, s), w)))
+        for w in rows
+        for s in range(n)
+    )
+
+
+def _reference_oslash(b):
+    """Relations, projection, section and quotient structure, one basis vector at a time."""
+    f, d = b.field, b.dim
+    bplus = augmentation_ideal(b)
+    gens = []
+    for t in range(bplus.dim):
+        dh = b.delta(bplus.basis[t])
+        gens += [b.prod2(_unit_vector(f, d * d, s), dh) for s in range(d * d)]
+    relations = subspace_from_rows(f, d * d, gens)
+    proj, reps, comp = relations.quotient_maps()
+    q = len(comp)
+    full = f.zeros((q * q, d * d))
+    for i in range(d):
+        for j in range(d):
+            col = f.zeros(q * q)
+            for a, bb in zip(*np.nonzero(b.comult[i])):
+                for c, e in zip(*np.nonzero(b.comult[j])):
+                    term = kron(f, proj[:, a * d + e], proj[:, bb * d + c])
+                    col = f.addmul(col, f.mul(b.comult[i, a, bb], b.comult[j, c, e]), term)
+            full[:, i * d + j] = col
+    assert _descends_brute_force(b, proj, relations.basis)
+    return {
+        "relations": relations,
+        "proj": proj,
+        "reps": reps,
+        "comult": matmul(f, full, reps),
+        "counit": matmul(f, kron(f, b.counit_row, b.counit_row), reps),
+        "i_matrix": matmul(f, proj, kron(f, f.eye(d), b.unit_col)),
+    }
+
+
+def _identical(x, y):
+    """Same shape, dtype, entries and, in object arrays, entry types."""
+    return (
+        x.dtype == y.dtype
+        and np.array_equal(x, y)
+        and all(type(u) is type(v) for u, v in zip(x.ravel(), y.ravel()))
+    )
+
+
+NAMED_FAMILIES = {
+    "quotient_quantum_plane": quotient_quantum_plane,
+    "sweedler_h4": sweedler_h4,
+    "dual_radford_2": lambda f: radford_dual(2, f),
+    "dual_radford_3": lambda f: radford_dual(3, f),
+    "radford_unit_matrix2": lambda f: radford_adjoin_unit(*matrix_coalgebra(2, f), field=f),
+    "monoid_cyclic_2": lambda f: monoid_bialgebra(cyclic_group(2), f),
+    "monoid_cyclic_3": lambda f: monoid_bialgebra(cyclic_group(3), f),
+    "monoid_monogenic_1_1": lambda f: monoid_bialgebra(monogenic(1, 1), f),
+    "monoid_monogenic_2_3": lambda f: monoid_bialgebra(monogenic(2, 3), f),
+    "monoid_transform_2": lambda f: monoid_bialgebra(full_transformation_monoid_2(), f),
+    "monoid_c2_x_c2": lambda f: monoid_bialgebra(
+        direct_product(cyclic_group(2), cyclic_group(2)), f),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F61], ids=str)
+@pytest.mark.parametrize("family", sorted(NAMED_FAMILIES))
+def test_build_oslash_matches_reference_loops(family, field):
+    b = NAMED_FAMILIES[family](field)
+    osl = build_oslash(b)
+    ref = _reference_oslash(b)
+    assert osl.relations == ref["relations"]
+    assert _identical(osl.relations.basis, ref["relations"].basis)
+    for name in ("proj", "reps", "comult", "counit", "i_matrix"):
+        assert _identical(getattr(osl, name), ref[name]), name
+    assert osl.dim == ref["proj"].shape[0]
+
+
+DESCENDS_FAMILIES = (
+    sweedler_h4,
+    lambda f: radford_dual(2, f),
+    lambda f: monoid_bialgebra(full_transformation_monoid_2(), f),
+)
+
+
+def test_descends_check_matches_brute_force():
+    bialgebras = [make(f) for f in (QQ, F3) for make in DESCENDS_FAMILIES]
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def agree(data):
+        b = data.draw(st.sampled_from(bialgebras))
+        f, n = b.field, b.dim * b.dim
+        coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+        vectors = [f.array(data.draw(coords)) for _ in range(data.draw(st.integers(1, 3)))]
+        # close the span under all of B (x) B (a left ideal), under B (x) 1
+        # or 1 (x) B only (one generator family passes), or not at all
+        factors = {
+            "both": [_unit_vector(f, n, s) for s in range(n)],
+            "first": [kron(f, e, b.unit) for e in f.eye(b.dim)],
+            "second": [kron(f, b.unit, e) for e in f.eye(b.dim)],
+            "none": [],
+        }[data.draw(st.sampled_from(["both", "first", "second", "none"]))]
+        vectors += [b.prod2(u, v) for v in vectors for u in factors]
+        v = subspace_from_rows(f, n, vectors)
+        proj = v.quotient_maps()[0]
+        fast = _action_descends(b, proj, v.basis)
+        assert fast == _descends_brute_force(b, proj, v.basis)
+        outcomes.add(fast)
+
+    agree()
+    assert outcomes == {True, False}

@@ -6,6 +6,7 @@ import pytest
 
 from hopfkit.bialgebra import ideal_closure, verify_axioms
 from hopfkit.canonical import build_oslash
+from hopfkit.cofree import cofree_hopf
 from hopfkit.convolution import conv, conv_unit
 from hopfkit.envelope import (
     Q_of,
@@ -16,9 +17,9 @@ from hopfkit.envelope import (
 )
 from hopfkit.errors import PreconditionError
 from hopfkit.families import radford_dual, sweedler_h4
-from hopfkit.fields import QQ
+from hopfkit.fields import QQ, PrimeField
 from hopfkit.linalg import kernel, matmul, solve_matrix, subspace_from_rows
-from hopfkit.monoid import cyclic_group, monoid_bialgebra
+from hopfkit.monoid import cyclic_group, monogenic, monoid_bialgebra
 
 
 def test_q_of_hopf_input_is_isomorphic_copy(kc2):
@@ -117,3 +118,11 @@ def test_envelope_antipode_order_four(qqp, qqp_envelope):
     s2 = matmul(QQ, s, s)
     s4 = matmul(QQ, s2, s2)
     assert np.array_equal(s4, QQ.eye(4))
+
+
+@pytest.mark.parametrize("index, period", [(8, 8), (10, 10)])
+def test_monogenic_rungs_of_dim_16_and_20(index, period):
+    # H(k<x | x^(i+p) = x^i>) is the group algebra of C_p; C(B) is the ground field
+    b = monoid_bialgebra(monogenic(index, period), PrimeField(3))
+    assert hopf_envelope(b).hopf.dim == period
+    assert cofree_hopf(b).hopf.dim == 1

@@ -421,6 +421,58 @@ def test_labels_are_strings_and_monoid_labels_distinct(doc, where, tmp_path, cap
     assert "labels[" in capsys.readouterr().err
 
 
+# hostile documents: a ParseError and exit code 2, never a raw traceback
+
+HOSTILE_TEXTS = {
+    "nested_100000_deep": ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    "5000_digit_integer": (
+        '{"schema": "hopfkit.bialgebra/1", "dim": ' + "7" * 5000 + "}",
+        "integer literal too long",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TEXTS))
+def test_hostile_json_is_a_parse_error(name, tmp_path, capsys):
+    text, message = HOSTILE_TEXTS[name]
+    with pytest.raises(ParseError, match=message):
+        parse_text(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert hopfkit.cli.main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"schema": "\xff"}')
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_path(str(path))
+    assert hopfkit.cli.main(["verify", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        ([0, 10**2499, 1], r"counit\[0\]"),  # the residual would pass str()'s limit
+        ([0, 1, 10**3999], r"counit\[0\]"),
+        ([1, 1 << 63, 1], r"counit\[1\]"),
+        ([1, 1, -(1 << 63)], r"counit\[1\]"),
+    ],
+)
+def test_rational_entries_are_bounded(entry, where, tmp_path, capsys):
+    doc = _with(C2_DOC, ["counit", entry[0]], entry)
+    with pytest.raises(ParseError, match=where + r": \|num\| and \|den\| must be below"):
+        parse_text(json.dumps(doc))
+    code, err = _cli_verify(tmp_path, capsys, doc)
+    assert code == 2 and "must be below" in err and len(err) < 200
+    # the largest accepted entries parse
+    edge = (1 << 63) - 1
+    doc = _with(C2_DOC, ["counit", 1], [1, -edge, edge])
+    assert parse_text(json.dumps(doc), verify=False).counit[1] == -1
+
+
 # ---------------------------------------------------------------------------
 # the int64 lane at its last prime 2**31 - 1 against the object lane at
 # 2**61 - 1: the same reports, field name aside
