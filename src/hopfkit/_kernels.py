@@ -57,7 +57,7 @@ def rref_mod(a, p):
     Pivot choice is the first nonzero entry in column order, so the output
     is deterministic.
     """
-    r = (np.asarray(a, dtype=np.int64) % p).copy()
+    r = np.asarray(a, dtype=np.int64) % p  # a new array, so ``a`` is left as it was
     m, n = r.shape
     pivots = []
     row = 0

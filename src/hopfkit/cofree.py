@@ -24,12 +24,12 @@ from .errors import InvariantViolation, PreconditionError
 from .linalg import (
     image,
     kernel,
-    kron,
     matmul,
     rank,
     subspace_from_rows,
     subspace_intersection,
     swap_permutation,
+    tensordot,
 )
 
 
@@ -43,11 +43,9 @@ def K_of(b: Bialgebra, box: BoxslashSpace | None = None):
     box = box or build_boxslash(b)
     w = box.im_p
     d = b.dim
-    # reduction matrix whose kernel is exactly w
-    red = f.zeros((d, d))
-    for k in range(d):
-        red[:, k] = w.reduce(b.basis_vector(k))
-    cond = matmul(f, kron(f, red, f.eye(d)), b.comult_mat)
+    # Delta(v) lies in w (x) B iff (proj (x) id) Delta(v) = 0
+    proj = w.quotient_maps()[0]
+    cond = tensordot(f, proj, b.comult, ([1], [1])).transpose(0, 2, 1).reshape(-1, d)
     direct = kernel(f, cond)
     if direct != w:
         raise InvariantViolation(
@@ -127,7 +125,8 @@ def cocommutative_cofree(b: Bialgebra) -> HopfResult:
     eye = f.eye(cc.dim)
     if not (f.equal(conv(cc, s, eye), cu) and f.equal(conv(cc, eye, s), cu)):
         raise InvariantViolation("restricted flip is not an antipode")
-    pmat = matmul(f, kron(f, f.eye(d), b.counit_row), cc_space.basis.T.copy())
+    # x (x) y |-> x eps(y) on the flip-stable part
+    pmat = tensordot(f, b.counit, cc_space.basis.reshape(-1, d, d), ([0], [2])).T.copy()
     mor = morphism_check(pmat, cc, b)
     if not mor.is_bialgebra_map:
         raise InvariantViolation("restricted p_B is not a bialgebra map")

@@ -173,9 +173,7 @@ def _s_residuals_in_ker_i(b: Bialgebra, osl, s) -> bool:
     anti = f.sub(matmul(f, s, b.mult_mat), matmul(f, b.mult_mat, kron(f, s, s))[:, tau])
     if not is_zero_matrix(matmul(f, i_mat, anti)):
         return False
-    ident = f.sub(
-        matmul(f, b.mult_mat, matmul(f, kron(f, f.eye(d), s), b.comult_mat)), b.conv_unit
-    )
+    ident = f.sub(conv(b, f.eye(d), s), b.conv_unit)
     if not is_zero_matrix(matmul(f, i_mat, ident)):
         return False
     d1 = matmul(f, kron(f, s, s), b.comult_mat[tau, :])
@@ -188,9 +186,7 @@ def _t_identities_on_im_p(b: Bialgebra, box, t) -> bool:
     f = b.field
     d = b.dim
     w = box.im_p
-    first = f.sub(
-        matmul(f, b.mult_mat, matmul(f, kron(f, f.eye(d), t), b.comult_mat)), b.conv_unit
-    )
+    first = f.sub(conv(b, f.eye(d), t), b.conv_unit)
     if not is_zero_matrix(matmul(f, first, w.basis.T.copy())):
         return False
     tau = swap_permutation(d, d)

@@ -31,12 +31,13 @@ BIALGEBRA_SCHEMA = "hopfkit.bialgebra/1"
 MONOID_SCHEMA = "hopfkit.monoid/1"
 
 #: Largest accepted bialgebra dimension, and monoid size: every command may
-#: lift a monoid to its monoid bialgebra, of dimension size.  The biggest
-#: matrix the axiom check builds is kron(mult_mat, eye), with d**5 entries;
-#: over Q one entry costs about 56 bytes (an 8-byte pointer and a 48-byte
-#: Fraction), 72 at the peak of numpy's kron.  32**5 = 33,554,432 entries
-#: * 72 B = 2.4 GB, a third of a 7 GiB machine; dim 40 would already need
-#: 7.4 GB.
+#: lift a monoid to its monoid bialgebra, of dimension size.  The axiom
+#: check contracts the structure tensors pairwise, d**4 entries at most.
+#: The largest matrices are the B (/) B relations, (d-1) d**2 x d**2, and
+#: the B (#) B map gamma, d**3 x d**2: at d = 32 about 33.5M entries of
+#: 8 bytes (int64, or a pointer to a shared zero or a Fraction over Q),
+#: 268 MB, held twice while row reducing.  Envelope and cofree of a
+#: dim-32 monoid bialgebra over F3 peak at 557 MB RSS.
 MAX_DIM = 32
 
 #: Bound on |num| and |den| of a rational entry.  Reports print exact

@@ -167,10 +167,9 @@ class Subspace:
         f = self.field
         comp = list(self.complement_indices())
         proj = f.zeros((len(comp), self.ambient))
-        for c in range(self.ambient):
-            e = f.zeros(self.ambient)
-            e[c] = f.one
-            proj[:, c] = self.reduce(e)[comp]
+        # e_c is its own residual off the pivots; e_{pivots[t]} leaves -basis[t]
+        proj[:, comp] = f.eye(len(comp))
+        proj[:, list(self.pivots)] = f.neg(self.basis[:, comp].T)
         return proj, f.eye(self.ambient)[:, comp], tuple(comp)
 
 

@@ -1,7 +1,11 @@
 """Axiom verification, derived bialgebras, ideals, quotients, subobjects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit.bialgebra import (
     augmentation_ideal,
@@ -21,12 +25,21 @@ from hopfkit.bialgebra import (
     verify_axioms,
 )
 from hopfkit.errors import PreconditionError
-from hopfkit.families import sweedler_h4
+from hopfkit.families import radford_dual, sweedler_h4
 from hopfkit.fields import QQ, PrimeField
 from hopfkit.linalg import matmul, subspace_from_rows, zero_subspace
-from hopfkit.monoid import cyclic_group, monogenic, monoid_bialgebra, units_and_left_units
+from hopfkit.monoid import (
+    cyclic_group,
+    full_transformation_monoid_2,
+    monogenic,
+    monoid_bialgebra,
+    units_and_left_units,
+)
+
+from axiom_reference import reference_verify_axioms, same_report
 
 F3 = PrimeField(3)
+F61 = PrimeField((1 << 61) - 1)
 
 
 def c2_by_hand():
@@ -75,6 +88,114 @@ def test_witness_is_the_first_failing_column():
     assert idx == (2, 3) and list(residual) == [0] * 5 + [-1] + [0] * 10
     idx, residual = witnesses["counit_is_algebra_map"]
     assert idx == (2, 3) and list(residual) == [1]
+
+
+def _broken_sweedler(**parts):
+    h4 = sweedler_h4(QQ)
+    tensors = {"mult": h4.mult, "comult": h4.comult, "unit": h4.unit, "counit": h4.counit}
+    tensors.update(parts)
+    return verify_axioms(make_bialgebra(QQ, **{k: v.copy() for k, v in tensors.items()}))
+
+
+def _unit(n, k, c=1):
+    v = [0] * n
+    v[k] = c
+    return v
+
+
+def test_witnesses_of_a_broken_comultiplication():
+    # Delta(y) gains y (x) y; witnesses as the kron(., eye) formulas give them
+    comult = sweedler_h4(QQ).comult.copy()
+    comult[2, 2, 2] = QQ.one
+    report = _broken_sweedler(comult=comult)
+    witnesses = {c.name: c.witness for c in report.failures()}
+    assert list(witnesses) == ["coassociativity", "comult_is_algebra_map"]
+    idx, residual = witnesses["coassociativity"]
+    assert idx == (2,) and list(residual) == [0] * 34 + [1, 0, 0, 0, -1] + [0] * 25
+    idx, residual = witnesses["comult_is_algebra_map"]
+    assert idx == (1, 2) and list(residual) == _unit(16, 15, -1)
+
+
+def test_witnesses_of_a_broken_unit_and_counit():
+    # 1 := 1 + x and eps(y) := 1
+    report = _broken_sweedler(unit=QQ.array([1, 1, 0, 0]), counit=QQ.array([1, 1, 1, 0]))
+    witnesses = {c.name: c.witness for c in report.failures()}
+    assert list(witnesses) == [
+        "left_unit", "right_unit", "left_counit", "right_counit",
+        "counit_is_algebra_map", "comult_of_unit", "counit_of_unit",
+    ]
+    assert witnesses["left_unit"][0] == witnesses["right_unit"][0] == (0,)
+    assert list(witnesses["left_unit"][1]) == list(witnesses["right_unit"][1]) == _unit(4, 1)
+    assert witnesses["left_counit"][0] == witnesses["right_counit"][0] == (2,)
+    assert list(witnesses["left_counit"][1]) == _unit(4, 0)
+    assert list(witnesses["right_counit"][1]) == _unit(4, 1)
+    idx, residual = witnesses["counit_is_algebra_map"]
+    assert idx == (1, 2) and list(residual) == [-1]
+    idx, residual = witnesses["comult_of_unit"]
+    assert idx == (0,) and list(residual) == [0, -1, 0, 0, -1] + [0] * 11
+    idx, residual = witnesses["counit_of_unit"]
+    assert idx == (0,) and list(residual) == [1]
+
+
+@st.composite
+def possibly_broken_bialgebra(draw):
+    """A valid bialgebra of dim <= 4 with up to three entries overwritten,
+    or structure tensors drawn at random."""
+    field = draw(st.sampled_from([QQ, F3, F61]))
+    base = draw(st.sampled_from(SMALL_BIALGEBRAS))
+    if base is None:
+        d = draw(st.integers(1, 4))
+        entries = st.integers(-2, 2)
+        parts = {
+            "mult": field.array(draw(arrays(entries, (d, d, d)))),
+            "comult": field.array(draw(arrays(entries, (d, d, d)))),
+            "unit": field.array(draw(arrays(entries, (d,)))),
+            "counit": field.array(draw(arrays(entries, (d,)))),
+        }
+    else:
+        b = base(field)
+        parts = {k: getattr(b, k).copy() for k in ("mult", "comult", "unit", "counit")}
+        for _ in range(draw(st.integers(0, 3))):
+            a = parts[draw(st.sampled_from(sorted(parts)))]
+            at = tuple(draw(st.integers(0, n - 1)) for n in a.shape)
+            a[at] = field.scalar(draw(st.integers(-2, 2)))
+    return make_bialgebra(field, **parts)
+
+
+def arrays(entries, shape):
+    if not shape:
+        return entries
+    return st.lists(arrays(entries, shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+SMALL_BIALGEBRAS = (
+    None,
+    trivial_bialgebra,
+    lambda f: monoid_bialgebra(cyclic_group(2), f),
+    lambda f: monoid_bialgebra(monogenic(1, 2), f),
+    lambda f: monoid_bialgebra(full_transformation_monoid_2(), f),
+    lambda f: radford_dual(2, f),
+    sweedler_h4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(possibly_broken_bialgebra())
+def test_verify_axioms_matches_the_kron_formulas(b):
+    assert same_report(verify_axioms(b), reference_verify_axioms(b))
+
+
+def test_verify_axioms_at_the_dimension_cap_stays_small():
+    # kron(mult_mat, eye) alone would be 32**5 int64 entries, 268 MB
+    b = monoid_bialgebra(monogenic(16, 16), F3)
+    tracemalloc.start()
+    try:
+        report = verify_axioms(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 128 * 2 ** 20
 
 
 def test_op_and_cop_are_involutions(qqp):

@@ -40,6 +40,7 @@ from hopfkit.monoid import (
     monoid_bialgebra,
 )
 
+from axiom_reference import identical
 from oracle_utils import all_vectors, matvec_mod
 
 F2 = PrimeField(2)
@@ -286,15 +287,6 @@ def _reference_oslash(b):
     }
 
 
-def _identical(x, y):
-    """Same shape, dtype, entries and, in object arrays, entry types."""
-    return (
-        x.dtype == y.dtype
-        and np.array_equal(x, y)
-        and all(type(u) is type(v) for u, v in zip(x.ravel(), y.ravel()))
-    )
-
-
 NAMED_FAMILIES = {
     "quotient_quantum_plane": quotient_quantum_plane,
     "sweedler_h4": sweedler_h4,
@@ -318,9 +310,9 @@ def test_build_oslash_matches_reference_loops(family, field):
     osl = build_oslash(b)
     ref = _reference_oslash(b)
     assert osl.relations == ref["relations"]
-    assert _identical(osl.relations.basis, ref["relations"].basis)
+    assert identical(osl.relations.basis, ref["relations"].basis)
     for name in ("proj", "reps", "comult", "counit", "i_matrix"):
-        assert _identical(getattr(osl, name), ref[name]), name
+        assert identical(getattr(osl, name), ref[name]), name
     assert osl.dim == ref["proj"].shape[0]
 
 

@@ -58,6 +58,11 @@ def test_radford_adjoin_rejects_invalid_coalgebra():
     # broken coassociativity
     with pytest.raises(PreconditionError):
         radford_adjoin_unit([[[0, 1], [0, 0]], [[1, 0], [0, 0]]], [1, 0], field=QQ)
+    # coassociative, but eps(e_12) = 1 breaks the counit laws
+    comult, counit = matrix_coalgebra(2, QQ)
+    counit[1] = 1
+    with pytest.raises(PreconditionError):
+        radford_adjoin_unit(comult, counit, field=QQ)
 
 
 def test_radford_dual_properties():

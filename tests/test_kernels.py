@@ -3,6 +3,7 @@ elimination over the same field, and stay exact near the int64 overflow
 boundary."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,3 +117,23 @@ def test_empty_inner_dimension_gives_zeros(p):
     b = np.zeros((0, 4), dtype=np.int64)
     out = kn.matmul_mod(a, b, p)
     assert out.dtype == np.int64 and np.array_equal(out, np.zeros((3, 4)))
+
+
+def test_rref_mod_holds_one_copy_of_its_input(monkeypatch):
+    # the oslash relation matrix of monogenic(6, 6) over F3, 1584 x 144
+    from hopfkit.canonical import oslash_relations
+    from hopfkit.monoid import monogenic, monoid_bialgebra
+
+    seen = []
+    rref_mod = kn.rref_mod
+    monkeypatch.setattr(kn, "rref_mod", lambda a, p: seen.append(a) or rref_mod(a, p))
+    oslash_relations(monoid_bialgebra(monogenic(6, 6), PrimeField(3)))
+    rows = max(seen, key=lambda a: a.size)
+    assert rows.shape == (1584, 144)
+    tracemalloc.start()
+    try:
+        rref_mod(rows, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * rows.nbytes

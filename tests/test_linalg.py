@@ -234,3 +234,23 @@ def test_solver_agrees_with_image_membership(a):
     got = la.solve(QQ, a, b)
     assert got is not None
     assert np.array_equal(la.matmul(QQ, a, got), b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_quotient_maps_match_the_residual_definition(data):
+    # proj sends e_c to the complement coordinates of reduce(e_c)
+    field = data.draw(st.sampled_from([QQ, PrimeField(3), PrimeField((1 << 31) - 1),
+                                       PrimeField((1 << 61) - 1)]))
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                              max_size=n + 1))
+    u = la.subspace_from_rows(field, n, [field.array(r) for r in rows])
+    proj, reps, comp = u.quotient_maps()
+    assert comp == u.complement_indices()
+    expected = field.zeros((len(comp), n))
+    for c, e in enumerate(field.eye(n)):
+        expected[:, c] = u.reduce(e)[list(comp)]
+    assert proj.dtype == expected.dtype and np.array_equal(proj, expected)
+    assert all(type(x) is type(y) for x, y in zip(proj.ravel(), expected.ravel()))
+    assert np.array_equal(reps, field.eye(n)[:, list(comp)])
