@@ -39,6 +39,7 @@ from .canonical import (
     frobenius_report,
 )
 from .cofree import (
+    DualityResult,
     K_of,
     cocommutative_cofree,
     cofree_hopf,

@@ -10,12 +10,13 @@ bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bialgebra import Bialgebra, dual_bialgebra, verify_axioms
+from .bialgebra import Bialgebra, verify_axioms
 from .canonical import build_boxslash, build_oslash, frobenius_report
 from .cofree import cocommutative_cofree, cofree_hopf, duality_check
 from .convolution import central_n_antipode, minimal_left_n_antipode, minimal_right_n_antipode
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionError,
     VerificationError,
 )
-from .fields import parse_field
+from .fields import Field, parse_field
 from .io import document_to_text, parse_path
 from .monoid import FiniteMonoid, enveloping_group, monoid_bialgebra, units_and_left_units
 
@@ -46,10 +47,10 @@ def _matrix_json(field, m):
     return [[field.format_scalar(x) for x in row] for row in m]
 
 
-def _load_bialgebra(path: str, field_tag: str, verify: bool = True) -> Bialgebra:
+def _load_bialgebra(path: str, field: Field, verify: bool = True) -> Bialgebra:
     value = parse_path(path, verify=verify)
     if isinstance(value, FiniteMonoid):
-        return monoid_bialgebra(value, parse_field(field_tag))
+        return monoid_bialgebra(value, field)
     return value
 
 
@@ -143,18 +144,19 @@ def cmd_nantipode(b, opts):
     right = minimal_right_n_antipode(b)
     central = central_n_antipode(b)
     agree = left.n == right.n == central.n
+    identity = bool(central.check(b))
     doc = {
         "left_n": left.n,
         "right_n": right.n,
         "central_n": central.n,
         "agree": bool(agree),
-        "central_identity_holds": bool(central.check(b)),
+        "central_identity_holds": identity,
         "central_in_id_span": bool(central.central),
     }
     if opts.matrices:
         doc["central_antipode"] = _matrix_json(b.field, central.matrix)
     line = f"nantipode: minimal index {central.n} (left={left.n}, right={right.n})"
-    return doc, line, 0 if agree and central.check(b) else BUG_EXIT
+    return doc, line, 0 if agree and identity else BUG_EXIT
 
 
 def cmd_envelope(b, opts):
@@ -205,12 +207,11 @@ def cmd_cocofree(b, opts):
 
 
 def cmd_dualcheck(b, opts):
-    env = hopf_envelope(b)
-    ok = duality_check(b)
-    cof_dim = cofree_hopf(dual_bialgebra(b)).hopf.dim
-    doc = {"ok": bool(ok), "dim_hopf_envelope": env.hopf.dim, "dim_cofree_of_dual": cof_dim}
-    line = f"dualcheck: dim C(B*) = {cof_dim}, dim H(B) = {env.hopf.dim}, ok={ok}"
-    return doc, line, 0 if ok else BUG_EXIT
+    dual = duality_check(b)
+    env_dim, cof_dim = dual.envelope.hopf.dim, dual.cofree_of_dual.hopf.dim
+    doc = {"ok": dual.ok, "dim_hopf_envelope": env_dim, "dim_cofree_of_dual": cof_dim}
+    line = f"dualcheck: dim C(B*) = {cof_dim}, dim H(B) = {env_dim}, ok={dual.ok}"
+    return doc, line, 0 if dual.ok else BUG_EXIT
 
 
 def cmd_monoid_units(m, opts):
@@ -225,8 +226,7 @@ def cmd_monoid_units(m, opts):
     return doc, line, 0
 
 
-def cmd_monoid_envgroup(m, opts):
-    field = parse_field(opts.field)
+def cmd_monoid_envgroup(m, field):
     group, mapping = enveloping_group(m, field)
     doc = {
         "size": group.size,
@@ -265,7 +265,21 @@ def cmd_corpus(opts):
 # ---------------------------------------------------------------------------
 
 
+def count(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {n}")
+    return n
+
+
+@functools.cache
 def build_parser() -> CliParser:
+    """The parser, built once per process and shared by every call of main.
+
+    Each parse_args call fills a new namespace, so no option carries over
+    from one call to the next; callers must not add to the parser.
+    """
     parser = CliParser(prog="hopfkit", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hopfkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -303,7 +317,7 @@ def build_parser() -> CliParser:
 
     c = sub.add_parser("corpus", help="run the invariant suite over built-in fixtures")
     c.add_argument("--seed", type=int, default=20240801)
-    c.add_argument("--random-count", type=int, default=6)
+    c.add_argument("--random-count", type=count, default=6)
     return parser
 
 
@@ -326,16 +340,19 @@ def main(argv=None) -> int:
     try:
         if opts.command == "corpus":
             doc, line, code = cmd_corpus(opts)
-        elif opts.command == "monoid":
-            m = _load_monoid(opts.input)
-            if opts.monoid_command == "units":
-                doc, line, code = cmd_monoid_units(m, opts)
-            else:
-                doc, line, code = cmd_monoid_envgroup(m, opts)
         else:
-            # verify parses unverified so it can report the axiom witnesses
-            b = _load_bialgebra(opts.input, opts.field, verify=opts.command != "verify")
-            doc, line, code = _BIALGEBRA_COMMANDS[opts.command](b, opts)
+            # checked for every command, also where the document ignores it
+            field = parse_field(opts.field)
+            if opts.command == "monoid":
+                m = _load_monoid(opts.input)
+                if opts.monoid_command == "units":
+                    doc, line, code = cmd_monoid_units(m, opts)
+                else:
+                    doc, line, code = cmd_monoid_envgroup(m, field)
+            else:
+                # verify parses unverified so it can report the axiom witnesses
+                b = _load_bialgebra(opts.input, field, verify=opts.command != "verify")
+                doc, line, code = _BIALGEBRA_COMMANDS[opts.command](b, opts)
     except (ParseError, VerificationError, PreconditionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         if isinstance(exc, VerificationError) and exc.witness is not None:

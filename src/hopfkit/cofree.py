@@ -9,6 +9,8 @@ convolution inversion; its dimension must equal dim B (#) B.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .bialgebra import (
     Bialgebra,
     dual_bialgebra,
@@ -133,12 +135,28 @@ def cocommutative_cofree(b: Bialgebra) -> HopfResult:
     return HopfResult(cc, s, mor, "sub")
 
 
-def duality_check(b: Bialgebra) -> bool:
-    """dim C(B*) = dim H(B), and transpose(q_B) embeds H(B)* onto K(B*)."""
-    f = b.field
+@dataclass(frozen=True)
+class DualityResult:
+    """The duality of H(B) and C(B*): whether it holds, and both sides."""
+
+    ok: bool
+    envelope: HopfResult  # H(B), a quotient of B
+    cofree_of_dual: HopfResult  # C(B*), a sub-bialgebra of B*
+
+
+def duality_check(b: Bialgebra) -> DualityResult:
+    """dim C(B*) = dim H(B), and transpose(q_B) embeds H(B)* onto K(B*).
+
+    H(B) and C(B*) are built once each and returned with the verdict.
+    """
     env = hopf_envelope(b)
     bd = dual_bialgebra(b)
     cof = cofree_hopf(bd)
+    return DualityResult(_dual_embeds_onto(env, bd, cof), env, cof)
+
+
+def _dual_embeds_onto(env: HopfResult, bd: Bialgebra, cof: HopfResult) -> bool:
+    f = bd.field
     if cof.hopf.dim != env.hopf.dim:
         return False
     qt = env.structure_map.matrix.T.copy()

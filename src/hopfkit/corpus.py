@@ -228,7 +228,7 @@ def check_fixture(fx: CorpusFixture) -> dict:
         "oslash_iso": oslash_iso_check(b, osl, env),
         "s_residuals": _s_residuals_in_ker_i(b, osl, S_witness(b, osl)),
         "t_identities": _t_identities_on_im_p(b, box, T_witness(b, box)),
-        "duality": duality_check(b),
+        "duality": duality_check(b).ok,
         "n_index_agreement": left.n == right.n == central.n,
         "central_identity": central.check(b),
         "rank_nullity_i": osl.dim == b.dim - osl.ker_i.dim,

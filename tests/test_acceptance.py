@@ -150,7 +150,7 @@ def _candidate_vectors(b):
 
 def test_criterion_5_duality(corpus_results, qqp):
     results, _ = corpus_results
-    assert all(r["checks"]["duality"] for r in results)
+    assert all(r["checks"]["duality"] is True for r in results)
     assert cofree_hopf(dual_bialgebra(qqp)).hopf.dim == 4
     km = monoid_bialgebra(monogenic(2, 3), QQ)
     assert cofree_hopf(dual_bialgebra(km)).hopf.dim == 3

@@ -14,7 +14,13 @@ from hopfkit.cofree import (
     iterate_K,
 )
 from hopfkit.convolution import conv_hom, conv_inverse
-from hopfkit.corpus import basis_aligned_sub_bialgebras, basis_aligned_sub_coalgebras
+from hopfkit.corpus import (
+    basis_aligned_sub_bialgebras,
+    basis_aligned_sub_coalgebras,
+    named_fixtures,
+    random_fixtures,
+)
+from hopfkit.envelope import hopf_envelope
 from hopfkit.errors import PreconditionError
 from hopfkit.families import matrix_coalgebra, radford_adjoin_unit, radford_dual
 from hopfkit.fields import QQ
@@ -118,11 +124,22 @@ def test_cocommutative_cofree_flip_stability_dichotomy():
 
 
 def test_duality_examples(qqp, kc2, km23):
-    assert duality_check(kc2)
-    assert duality_check(qqp)
+    assert duality_check(kc2).ok is True
+    assert duality_check(qqp).ok is True
     assert cofree_hopf(dual_bialgebra(qqp)).hopf.dim == 4
-    assert duality_check(km23)
+    assert duality_check(km23).ok is True
     assert cofree_hopf(dual_bialgebra(km23)).hopf.dim == 3
+
+
+@pytest.mark.parametrize(
+    "fx", named_fixtures() + random_fixtures(20240801, 6), ids=lambda fx: fx.name
+)
+def test_duality_result_carries_both_sides(fx):
+    b = fx.bialgebra
+    dual = duality_check(b)
+    assert dual.ok is True
+    assert dual.envelope.hopf.dim == hopf_envelope(b).hopf.dim
+    assert dual.cofree_of_dual.hopf.dim == dual.envelope.hopf.dim
 
 
 def test_cofree_is_largest_antipode_admitting_sub_bialgebra(qqp, km23):

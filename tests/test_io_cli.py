@@ -197,6 +197,89 @@ def test_cli_dualcheck():
     assert doc["ok"] is True and doc["dim_cofree_of_dual"] == 4
 
 
+def test_dualcheck_builds_each_side_once(monkeypatch, capsys):
+    from hopfkit.cofree import cofree_hopf
+    from hopfkit.envelope import hopf_envelope
+
+    calls = {"hopf_envelope": 0, "cofree_hopf": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # every hopfkit module that holds a reference, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name == "hopfkit" or name.startswith("hopfkit."):
+            for fn in (hopf_envelope, cofree_hopf):
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted(fn))
+    code = hopfkit.cli.main(["dualcheck", str(FIXTURES / "monoid_monogenic_2_3.json")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["ok"] is True
+    assert doc["dim_hopf_envelope"] == doc["dim_cofree_of_dual"] == 3
+    assert calls == {"hopf_envelope": 1, "cofree_hopf": 1}
+
+
+def test_parser_is_built_once():
+    assert hopfkit.cli.build_parser() is hopfkit.cli.build_parser()
+
+
+def _main_in_process(argv, capsys):
+    try:
+        code = hopfkit.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    # one shared parser: no option of one call may leak into the next
+    cyclic = str(FIXTURES / "monoid_cyclic_2.json")
+    monogenic_doc = str(FIXTURES / "monoid_monogenic_2_3.json")
+    sequence = [
+        ["envelope", cyclic, "--matrices"],
+        ["envelope", cyclic],
+        ["verify", monogenic_doc, "--field", "F3"],
+        ["verify", "--field", "F3"],  # usage error: no input
+        ["verify", monogenic_doc],
+        ["corpus", "--random-count", "-1"],  # usage error
+        ["monoid", "envgroup", monogenic_doc],
+    ]
+    in_process = [_main_in_process(argv, capsys) for argv in sequence]
+    fresh = [(res.returncode, res.stdout) for res in (run_cli(*argv) for argv in sequence)]
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, 0, 1, 0, 1, 0]
+    assert "antipode" in json.loads(fresh[0][1]) and "antipode" not in json.loads(fresh[1][1])
+    assert json.loads(fresh[2][1])["field"] == "F3" and json.loads(fresh[4][1])["field"] == "Q"
+
+
+def test_field_tag_is_checked_for_every_command(capsys):
+    bialgebra_doc = str(FIXTURES / "dual_radford_2.json")
+    monoid_doc = str(FIXTURES / "monoid_cyclic_2.json")
+    argvs = [[command, bialgebra_doc] for command in hopfkit.cli._BIALGEBRA_COMMANDS]
+    argvs += [["monoid", "units", monoid_doc], ["monoid", "envgroup", monoid_doc]]
+    for argv in argvs:
+        assert hopfkit.cli.main([*argv, "--field", "Fx"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown field tag" in captured.err, argv
+    # a valid tag is ignored by a bialgebra document
+    assert hopfkit.cli.main(["verify", bialgebra_doc]) == 0
+    plain = capsys.readouterr().out
+    assert hopfkit.cli.main(["verify", bialgebra_doc, "--field", "F3"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("value", ["-3", "three"])
+def test_corpus_random_count_must_be_a_count(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        hopfkit.cli.main(["corpus", "--random-count", value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--random-count" in captured.err
+
+
 # sha256 of stdout and the exit code of every bialgebra command run with
 # --matrices on the cheap shipped fixtures, monoids also lifted over F3.
 # Reports are a stable interface, so any change in a report byte shows up
@@ -490,20 +573,30 @@ LANE_EDGE_COMMANDS = ("verify", "oslash", "boxslash", "frobenius", "nantipode",
                       "envelope", "cofree", "dualcheck")
 
 
+# the stdout digests the cli_bigprime benchmark checks, keyed
+# "<command> <family>/<field>"; read only
+BENCH_DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text()
+)["cli_sha256"]
+
+
 @pytest.mark.parametrize("family", sorted(LANE_EDGE_FAMILIES))
 def test_int64_lane_edge_matches_object_lane(family, tmp_path, capsys):
+    fields = [PrimeField((1 << 31) - 1), PrimeField((1 << 61) - 1)]
     paths = []
-    for p in ((1 << 31) - 1, (1 << 61) - 1):
-        f = PrimeField(p)
+    for f in fields:
         path = tmp_path / f"{family}.{f.name}.json"
         path.write_text(document_to_text(serialize_bialgebra(LANE_EDGE_FAMILIES[family](f))))
         paths.append(str(path))
     for command in LANE_EDGE_COMMANDS:
         reports = []
-        for path in paths:
+        for f, path in zip(fields, paths):
             code = hopfkit.cli.main([command, path])
-            report = json.loads(capsys.readouterr().out)
+            out = capsys.readouterr().out
             assert code == 0, (command, path)
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == BENCH_DIGESTS[f"{command} {family}/{f.name}"], (command, path)
+            report = json.loads(out)
             report.pop("field", None)
             reports.append(report)
         assert reports[0] == reports[1], command
