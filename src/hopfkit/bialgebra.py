@@ -85,25 +85,72 @@ class Bialgebra:
                 out = f.addmul(out, f.mul(u[i], v[j]), self.mult[i, j])
         return out
 
+    @cached_property
+    def mult_nonzeros(self):
+        """``(start, count, a, value)``: the nonzeros mult[i, k, a] of key
+        i*d+k are a[start[key] : start[key] + count[key]], with their values."""
+        d = self.dim
+        i, k, a = np.nonzero(self.mult != 0)
+        count = np.bincount(i * d + k, minlength=d * d)
+        return count.cumsum() - count, count, a, self.mult[i, k, a]
+
+    def mult_terms(self, keys):
+        """Join ``keys`` (i*d+k each) with the nonzeros of mult[i, k].
+
+        Returns ``(owner, a, value)``, one entry per nonzero mult[i, k, a]
+        of every key, where ``owner`` is the position of its key.
+        """
+        start, count, a, value = self.mult_nonzeros
+        owner, offset = _runs(count[keys])
+        pos = start[keys][owner] + offset
+        return owner, a[pos], value[pos]
+
     def prod2(self, u, v):
-        """Componentwise product on B (x) B: (a(x)b)(c(x)e) = ac (x) be."""
-        return self._tensor_prod(u, v, self.mult)
+        """Componentwise product on B (x) B: (a(x)b)(c(x)e) = ac (x) be.
+
+        ``u`` and ``v`` are vectors of length d^2, or d^2 x n matrices
+        multiplied column by column.
+        """
+        return self._tensor_prod(u, v, op=False)
 
     def prod2op(self, u, v):
-        """Product on B (x) B^op: (a(x)b)(c(x)e) = ac (x) eb."""
-        return self._tensor_prod(u, v, self.mult.transpose(1, 0, 2))
+        """Product on B (x) B^op: (a(x)b)(c(x)e) = ac (x) eb, batched like prod2."""
+        return self._tensor_prod(u, v, op=True)
 
-    def _tensor_prod(self, u, v, second):
-        """Product on B (x) B with the structure tensor ``second`` on the right leg."""
+    def _tensor_prod(self, u, v, op):
+        """Product on B (x) B, or on B (x) B^op when ``op``, over the nonzeros only.
+
+        A nonzero u[i*d+j] meets each nonzero v[k*d+l] of its column, the
+        pair meets mult[i, k, a] and mult[j, l, b] (mult[l, j, b] when
+        ``op``: mult^op[j, l] = mult[l, j]), and the term lands in row a*d+b.
+        """
         f = self.field
         d = self.dim
-        out = f.zeros(d * d)
-        for s in np.nonzero(u != 0)[0]:
-            i, j = divmod(int(s), d)
-            for t in np.nonzero(v != 0)[0]:
-                k, l = divmod(int(t), d)
-                term = f.kron(self.mult[i, k], second[j, l])
-                out = f.addmul(out, f.mul(u[s], v[t]), term)
+        u, v = np.asarray(u), np.asarray(v)
+        if u.ndim == 1:
+            return self._tensor_prod(u[:, None], v[:, None], op)[:, 0]
+        n = u.shape[1]
+        out = f.zeros((d * d, n))
+        cu, su = (u.T != 0).nonzero()  # column by column, rows ascending
+        cv, tv = (v.T != 0).nonzero()
+        nu, nv = np.bincount(cu, minlength=n), np.bincount(cv, minlength=n)
+        v_start = nv.cumsum() - nv
+        fan = int(self.mult_nonzeros[1].max()) ** 2  # terms per pair, at most
+        for c0, c1 in column_blocks(nu * nv * fan + d * d):
+            # every pair of nonzeros sharing a column of the block
+            lo, hi = cu.searchsorted((c0, c1))
+            pair, offset = _runs(nv[cu[lo:hi]])
+            col, s = cu[lo:hi][pair], su[lo:hi][pair]
+            t = tv[v_start[col] + offset]
+            coef = f.mul(u[s, col], v[t, col])
+            i, j = np.divmod(s, d)
+            k, l = np.divmod(t, d)
+            left, a, x = self.mult_terms(i * d + k)
+            right, b, y = self.mult_terms((l * d + j if op else j * d + l)[left])
+            values = f.mul(f.mul(coef[left], x)[right], y)
+            m = c1 - c0
+            index = (a[right] * d + b) * m + col[left][right] - c0
+            out[:, c0:c1] = f.scatter_sum(index, values, d * d * m).reshape(d * d, m)
         return out
 
     def delta(self, v):
@@ -117,6 +164,27 @@ class Bialgebra:
 
     def is_commutative(self) -> bool:
         return bool(np.all(self.mult == self.mult.transpose(1, 0, 2)))
+
+
+#: terms plus output cells per block of a batched product on B (x) B:
+#: bounds the temporaries of one block, and keeps the int64 scatter-sums
+#: of a block far below 2**63 / (p-1)
+_TERM_BLOCK = 1 << 16
+
+
+def _runs(counts):
+    """``(owner, offset)``: item t repeated counts[t] times, numbered 0, 1, ... in its run."""
+    ends = counts.cumsum()
+    owner = np.arange(len(counts)).repeat(counts)
+    return owner, np.arange(len(owner)) - (ends - counts)[owner]
+
+
+def column_blocks(weight):
+    """``(start, stop)`` runs of columns, each of total weight below
+    ``_TERM_BLOCK`` plus the weight of its last column."""
+    block = (weight.cumsum() - weight) // _TERM_BLOCK
+    edges = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1), len(weight)]
+    return zip(edges, edges[1:])
 
 
 def make_bialgebra(field, mult, comult, unit, counit, labels=None) -> Bialgebra:
@@ -227,11 +295,8 @@ def verify_axioms(b: Bialgebra) -> AxiomReport:
     d = b.dim
     m, cm = b.mult_mat, b.comult_mat
     u, e = b.unit_col, b.counit_row
-    # Delta(pq) = Delta(p) Delta(q) in B (x) B, column by column
-    prods = f.zeros((d * d, d * d))
-    for p in range(d):
-        for q in range(d):
-            prods[:, p * d + q] = b.prod2(cm[:, p], cm[:, q])
+    # Delta(p) Delta(q) in B (x) B at column p*d+q
+    prods = b.prod2(np.repeat(cm, d, axis=1), np.tile(cm, (1, d)))
     residuals = algebra_residuals(f, b.mult, b.unit) + coalgebra_residuals(f, b.comult, b.counit)
     residuals += [
         ("comult_is_algebra_map", f.sub(matmul(f, cm, m), prods), 2),
@@ -293,23 +358,16 @@ def tensor_bialgebra(a: Bialgebra, b: Bialgebra) -> Bialgebra:
     """Componentwise structure on A (x) B with the middle-swap comultiplication."""
     a.field.require_same(b.field)
     f = a.field
-    da, db = a.dim, b.dim
-    D = da * db
-    mt = f.zeros((D, D, D))
-    ct = f.zeros((D, D, D))
-    for i in range(da):
-        for k in range(da):
-            av = a.mult[i, k]
-            for j in range(db):
-                for l in range(db):
-                    mt[i * db + j, k * db + l] = f.kron(av, b.mult[j, l])
-    for k in range(da):
-        dk = a.comult[k]
-        for l in range(db):
-            ct[k * db + l] = f.kron(dk, b.comult[l])
+    D = a.dim * b.dim
+
+    def interleave(x, y):
+        # entry ((i,j), (k,l), (r,s)) is x[i,k,r] * y[j,l,s]
+        return f.mul(x[:, None, :, None, :, None], y[None, :, None, :, None, :]).reshape(D, D, D)
+
     labels = tuple(f"{la}*{lb}" for la in a.labels for lb in b.labels)
     return make_bialgebra(
-        f, mt, ct, f.kron(a.unit, b.unit), f.kron(a.counit, b.counit), labels
+        f, interleave(a.mult, b.mult), interleave(a.comult, b.comult),
+        f.kron(a.unit, b.unit), f.kron(a.counit, b.counit), labels,
     )
 
 

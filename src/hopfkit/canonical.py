@@ -21,6 +21,7 @@ from .bialgebra import (
     algebra_residuals,
     augmentation_ideal,
     coalgebra_residuals,
+    column_blocks,
 )
 from .convolution import antipode_shape_check, conv, conv_unit
 from .errors import ConstructionError, InvariantViolation
@@ -36,12 +37,6 @@ from .linalg import (
     solve_matrix,
     tensordot,
 )
-
-
-def _nonzero_pairs(row_matrix):
-    """Nonzero (i, j, value) triples of a d x d coefficient matrix."""
-    idx = np.argwhere(row_matrix != 0)
-    return [(int(i), int(j), row_matrix[i, j]) for i, j in idx]
 
 
 @dataclass(eq=False)
@@ -177,24 +172,32 @@ class BoxslashSpace:
 
 
 def gamma_matrix(b: Bialgebra):
-    """Matrix of gamma(x (x) y) = x1 (x) y1 (x) x2 y2 - x (x) y (x) 1."""
+    """Matrix of gamma(x (x) y) = x1 (x) y1 (x) x2 y2 - x (x) y (x) 1.
+
+    Every pair of nonzeros comult[i,a,bb], comult[j,c,e] meets each
+    mult[bb,e,r] and adds to row (a*d+c)*d+r of column i*d+j.
+    """
     f = b.field
     d = b.dim
+    i, a, bb = np.nonzero(b.comult != 0)
+    x = b.comult[i, a, bb]
+    nnz = len(i)
+    per_i = np.bincount(i, minlength=d)
+    start = np.cumsum(per_i) - per_i
     g = f.zeros((d ** 3, d * d))
-    for i in range(d):
-        di = _nonzero_pairs(b.comult[i])
-        for j in range(d):
-            dj = _nonzero_pairs(b.comult[j])
-            col = f.zeros(d ** 3)
-            for a, bb, ci in di:
-                for c, e, cj in dj:
-                    base = (a * d + c) * d
-                    col[base : base + d] = f.addmul(
-                        col[base : base + d], f.mul(ci, cj), b.mult[bb, e]
-                    )
-            base = (i * d + j) * d
-            col[base : base + d] = f.sub(col[base : base + d], b.unit)
-            g[:, i * d + j] = col
+    for i0, i1 in column_blocks(per_i * nnz * int(b.mult_nonzeros[1].max()) + d ** 4):
+        first, second = np.divmod(np.arange(per_i[i0:i1].sum() * nnz), nnz)
+        first += start[i0]
+        pair, r, y = b.mult_terms(bb[first] * d + bb[second])
+        first, second = first[pair], second[pair]
+        values = f.mul(f.mul(x[first], x[second]), y)
+        m = (i1 - i0) * d
+        index = ((a[first] * d + a[second]) * d + r) * m + (i[first] - i0) * d + i[second]
+        g[:, i0 * d : i1 * d] = f.scatter_sum(index, values, d ** 3 * m).reshape(d ** 3, m)
+    # - x (x) y (x) 1 at rows (i*d+j)*d + r of column i*d+j
+    cols = np.arange(d * d)[:, None]
+    rows = cols * d + np.arange(d)
+    g[rows, cols] = f.sub(g[rows, cols], b.unit)
     return g
 
 
@@ -295,39 +298,19 @@ def T_witness(b: Bialgebra, box: BoxslashSpace | None = None):
 
 
 def can_matrix(b: Bialgebra):
-    """Matrix of can(x (x) y) = x y1 (x) y2."""
+    """Matrix of can(x (x) y) = x y1 (x) y2: column (i, j) is (e_i (x) 1) Delta(e_j)."""
     f = b.field
     d = b.dim
-    out = f.zeros((d * d, d * d))
-    for j in range(d):
-        dj = _nonzero_pairs(b.comult[j])
-        for i in range(d):
-            col = f.zeros(d * d)
-            for a, bb, cj in dj:
-                col = f.addmul(col, cj, kron(f, b.mult[i, a], _basis(f, d, bb)))
-            out[:, i * d + j] = col
-    return out
+    left = np.repeat(kron(f, f.eye(d), b.unit_col), d, axis=1)
+    return b.prod2(left, np.tile(b.comult_mat, (1, d)))
 
 
 def can_prime_matrix(b: Bialgebra):
-    """Matrix of can'(x (x) y) = x1 (x) x2 y."""
+    """Matrix of can'(x (x) y) = x1 (x) x2 y: column (i, j) is Delta(e_i) (1 (x) e_j)."""
     f = b.field
     d = b.dim
-    out = f.zeros((d * d, d * d))
-    for i in range(d):
-        di = _nonzero_pairs(b.comult[i])
-        for j in range(d):
-            col = f.zeros(d * d)
-            for a, bb, ci in di:
-                col = f.addmul(col, ci, kron(f, _basis(f, d, a), b.mult[bb, j]))
-            out[:, i * d + j] = col
-    return out
-
-
-def _basis(f, d, k):
-    v = f.zeros(d)
-    v[k] = f.one
-    return v
+    right = np.tile(kron(f, b.unit_col, f.eye(d)), (1, d))
+    return b.prod2(np.repeat(b.comult_mat, d, axis=1), right)
 
 
 @dataclass

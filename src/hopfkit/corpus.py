@@ -35,7 +35,6 @@ from .families import (
 )
 from .fields import QQ, PrimeField
 from .linalg import (
-    Subspace,
     image,
     is_zero_matrix,
     kron,
@@ -274,57 +273,3 @@ def run_corpus(seed: int = 20240801, random_count: int = 6):
     fixtures = named_fixtures() + random_fixtures(seed, random_count)
     results = [check_fixture(fx) for fx in fixtures]
     return results, all(r["ok"] for r in results)
-
-
-# ---------------------------------------------------------------------------
-# bounded searches used by maximality-style tests
-
-
-def basis_aligned_subspaces(b: Bialgebra, indices) -> Subspace:
-    return subspace_from_rows(b.field, b.dim, [b.basis_vector(i) for i in indices])
-
-
-def basis_aligned_sub_bialgebras(b: Bialgebra):
-    """All subsets of the basis spanning a sub-bialgebra (bounded search)."""
-    from itertools import combinations
-
-    out = []
-    d = b.dim
-    for size in range(1, d + 1):
-        for idx in combinations(range(d), size):
-            span = basis_aligned_subspaces(b, idx)
-            if not span.contains(b.unit):
-                continue
-            if not all(
-                span.contains(b.mult[i, j]) for i in idx for j in idx
-            ):
-                continue
-            ww = subspace_from_rows(
-                b.field,
-                d * d,
-                [kron(b.field, span.basis[s], span.basis[t])
-                 for s in range(span.dim) for t in range(span.dim)],
-            )
-            if all(ww.contains(b.delta(b.basis_vector(i))) for i in idx):
-                out.append(span)
-    return out
-
-
-def basis_aligned_sub_coalgebras(b: Bialgebra):
-    """All subsets of the basis spanning a sub-coalgebra (bounded search)."""
-    from itertools import combinations
-
-    out = []
-    d = b.dim
-    for size in range(0, d + 1):
-        for idx in combinations(range(d), size):
-            span = basis_aligned_subspaces(b, idx)
-            ww = subspace_from_rows(
-                b.field,
-                d * d,
-                [kron(b.field, span.basis[s], span.basis[t])
-                 for s in range(span.dim) for t in range(span.dim)],
-            )
-            if all(ww.contains(b.delta(b.basis_vector(i))) for i in idx):
-                out.append(span)
-    return out

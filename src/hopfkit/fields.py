@@ -12,8 +12,9 @@ Reduction invariant: every GF(p) scalar or array the package builds is
 reduced into [0, p).  The field alone keeps it: ``scalar``/``array``
 reduce external data, and the elementwise operations (``add``, ``sub``,
 ``neg``, ``mul``, the fused accumulates ``addmul``/``submul``) as well as
-``matmul`` and ``kron`` return reduced values from reduced operands, so
-no caller ever reduces by hand and ``equal`` can compare entrywise.
+``matmul``, ``kron`` and ``scatter_sum`` return reduced values from
+reduced operands, so no caller ever reduces by hand and ``equal`` can
+compare entrywise.
 Over Q the same operations are plain arithmetic.
 """
 
@@ -104,6 +105,12 @@ class Field:
     def equal(self, a, b) -> bool:
         """Exact equality of two reduced arrays (or scalars)."""
         return bool(np.array_equal(a, b))
+
+    def scatter_sum(self, index, values, size):
+        """Vector of length ``size`` whose entry k sums the values at index k."""
+        out = self.zeros(size)
+        np.add.at(out, index, values)
+        return out
 
 
 class RationalField(Field):
@@ -256,6 +263,10 @@ class PrimeField(Field):
     def submul(self, acc, c, x):
         """(acc - c*x) mod p with one reduction."""
         return (acc - c * x) % self.p
+
+    def scatter_sum(self, index, values, size):
+        """The sums mod p, reduced once: the int64 lane needs len(values) (p-1) < 2**63."""
+        return super().scatter_sum(index, values, size) % self.p
 
 
 QQ = RationalField()

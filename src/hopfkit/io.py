@@ -33,6 +33,11 @@ MONOID_SCHEMA = "hopfkit.monoid/1"
 #: Largest accepted bialgebra dimension, and monoid size: every command may
 #: lift a monoid to its monoid bialgebra, of dimension size.  The axiom
 #: check contracts the structure tensors pairwise, d**4 entries at most.
+#: The batched products on B (x) B (``Bialgebra.prod2``, ``gamma_matrix``)
+#: hold the d**2 x d**2 factors and output, d**4 entries, plus one block of
+#: temporaries: a few arrays of at most 2**16 terms plus output cells
+#: (``bialgebra._TERM_BLOCK``), under 10 MB at d = 32, so ``verify_axioms``
+#: at d = 32 stays near 51 MB (tracemalloc).
 #: The largest matrices are the B (/) B relations, (d-1) d**2 x d**2, and
 #: the B (#) B map gamma, d**3 x d**2: at d = 32 about 33.5M entries of
 #: 8 bytes (int64, or a pointer to a shared zero or a Fraction over Q),

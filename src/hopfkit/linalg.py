@@ -142,9 +142,6 @@ class Subspace:
     def contains(self, v) -> bool:
         return is_zero_matrix(self.reduce(v))
 
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(other.basis[t]) for t in range(other.dim))
-
     def coordinates(self, v):
         """Coordinates in the canonical basis; None if v is not a member."""
         if not self.contains(v):
@@ -197,10 +194,6 @@ def row_space(f: Field, m) -> Subspace:
 
 def zero_subspace(f: Field, ambient: int) -> Subspace:
     return Subspace(f, ambient, f.zeros((0, ambient)), ())
-
-
-def full_subspace(f: Field, ambient: int) -> Subspace:
-    return Subspace(f, ambient, f.eye(ambient), tuple(range(ambient)))
 
 
 def kernel(f: Field, a) -> Subspace:

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's linear algebra: ranks come from
 exhaustive minor expansion, spans from enumerating every coefficient
-combination over a small prime field.
+combination over a small prime field.  The subspace helpers at the end
+are the exception: bounded searches and comparisons built on
+:mod:`hopfkit.linalg`, needed only by tests.
 """
 
 from itertools import combinations, permutations, product
+
+from hopfkit.linalg import Subspace, kron, subspace_from_rows
 
 
 def all_vectors(p, d):
@@ -159,3 +163,56 @@ def gamma_apply_int(b, v, p):
             idx = (i * d + j) * d + r
             out[idx] = (out[idx] - v[s] * unit[r]) % p
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# subspace helpers on the library's linear algebra
+
+
+def full_subspace(f, ambient):
+    return Subspace(f, ambient, f.eye(ambient), tuple(range(ambient)))
+
+
+def contains_subspace(big, small):
+    return all(big.contains(small.basis[t]) for t in range(small.dim))
+
+
+def basis_aligned_subspace(b, indices):
+    return subspace_from_rows(b.field, b.dim, [b.basis_vector(i) for i in indices])
+
+
+def _spans_sub_coalgebra(b, idx, span):
+    ww = subspace_from_rows(
+        b.field,
+        b.dim * b.dim,
+        [kron(b.field, span.basis[s], span.basis[t])
+         for s in range(span.dim) for t in range(span.dim)],
+    )
+    return all(ww.contains(b.delta(b.basis_vector(i))) for i in idx)
+
+
+def basis_aligned_sub_bialgebras(b):
+    """All subsets of the basis spanning a sub-bialgebra (bounded search)."""
+    out = []
+    d = b.dim
+    for size in range(1, d + 1):
+        for idx in combinations(range(d), size):
+            span = basis_aligned_subspace(b, idx)
+            if not span.contains(b.unit):
+                continue
+            if not all(span.contains(b.mult[i, j]) for i in idx for j in idx):
+                continue
+            if _spans_sub_coalgebra(b, idx, span):
+                out.append(span)
+    return out
+
+
+def basis_aligned_sub_coalgebras(b):
+    """All subsets of the basis spanning a sub-coalgebra (bounded search)."""
+    out = []
+    for size in range(0, b.dim + 1):
+        for idx in combinations(range(b.dim), size):
+            span = basis_aligned_subspace(b, idx)
+            if _spans_sub_coalgebra(b, idx, span):
+                out.append(span)
+    return out

@@ -14,12 +14,7 @@ from hopfkit.cofree import (
     iterate_K,
 )
 from hopfkit.convolution import conv_hom, conv_inverse
-from hopfkit.corpus import (
-    basis_aligned_sub_bialgebras,
-    basis_aligned_sub_coalgebras,
-    named_fixtures,
-    random_fixtures,
-)
+from hopfkit.corpus import named_fixtures, random_fixtures
 from hopfkit.envelope import hopf_envelope
 from hopfkit.errors import PreconditionError
 from hopfkit.families import matrix_coalgebra, radford_adjoin_unit, radford_dual
@@ -31,6 +26,12 @@ from hopfkit.monoid import (
     monogenic,
     monoid_bialgebra,
     units_and_left_units,
+)
+
+from oracle_utils import (
+    basis_aligned_sub_bialgebras,
+    basis_aligned_sub_coalgebras,
+    contains_subspace,
 )
 
 
@@ -149,7 +150,7 @@ def test_cofree_is_largest_antipode_admitting_sub_bialgebra(qqp, km23):
         cof = cofree_hopf(b)
         c_space = image(b.field, cof.structure_map.matrix)
         for span in basis_aligned_sub_bialgebras(b):
-            if span.dim <= c_space.dim or not span.contains_subspace(c_space):
+            if span.dim <= c_space.dim or not contains_subspace(span, c_space):
                 continue
             sub, _ = sub_bialgebra(b, span)
             assert conv_inverse(sub, b.field.eye(sub.dim)) is None
@@ -161,7 +162,7 @@ def test_k_contains_every_sub_coalgebra_of_im_p(qqp, km23):
         k_space = box.im_p
         for span in basis_aligned_sub_coalgebras(b):
             if all(box.im_p.contains(span.basis[t]) for t in range(span.dim)):
-                assert k_space.contains_subspace(span)
+                assert contains_subspace(k_space, span)
 
 
 def test_inclusion_two_sided_convolution_invertible(km23, qqp):

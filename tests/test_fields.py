@@ -91,3 +91,29 @@ def test_equal_compares_shapes():
     f = PrimeField(5)
     assert not f.equal(f.zeros((2, 2)), f.zeros((2, 1)))
     assert f.equal(f.zeros((0, 3)), f.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, (1 << 61) - 1])
+def test_scatter_sum_reduces_colliding_indices(p):
+    # 2**20 copies of p-1 on one index sum to 2**20 (p-1): about 2**51 in
+    # the int64 lane, below 2**63, and reduced to -2**20 mod p
+    f = PrimeField(p)
+    count = 1 << 20
+    index = np.zeros(count, dtype=np.int64)
+    index[::2] = 3
+    values = f.zeros(count)
+    values[...] = f.scalar(p - 1)
+    got = f.scatter_sum(index, values, 5)
+    assert got.dtype == f.dtype
+    assert _ints(got) == [(-count // 2) % p, 0, 0, (-count // 2) % p, 0]
+    assert all(type(v) is type(f.zero) for v in got)
+
+
+def test_scatter_sum_over_q_is_exact():
+    index = np.array([2, 0, 2, 2, 0])
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    values = QQ.array([third, half, third, third, -half])
+    got = QQ.scatter_sum(index, values, 4)
+    assert list(got) == [0, 0, 1, 0]
+    assert all(type(v) is Fraction for v in got)
+    assert QQ.scatter_sum(np.array([], dtype=np.int64), QQ.zeros(0), 2).tolist() == [0, 0]
