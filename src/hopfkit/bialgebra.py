@@ -29,11 +29,12 @@ from .errors import (
 from .fields import Field
 from .linalg import (
     Subspace,
+    all_pairs,
     is_zero_matrix,
     kernel,
     kron,
     matmul,
-    subspace_from_rows,
+    row_space,
     tensordot,
 )
 
@@ -76,15 +77,6 @@ class Bialgebra:
         v[k] = self.field.one
         return v
 
-    def prod(self, u, v):
-        """Product of two coordinate vectors."""
-        f = self.field
-        out = f.zeros(self.dim)
-        for i in np.nonzero(u != 0)[0]:
-            for j in np.nonzero(v != 0)[0]:
-                out = f.addmul(out, f.mul(u[i], v[j]), self.mult[i, j])
-        return out
-
     @cached_property
     def mult_nonzeros(self):
         """``(start, count, a, value)``: the nonzeros mult[i, k, a] of key
@@ -105,52 +97,65 @@ class Bialgebra:
         pos = start[keys][owner] + offset
         return owner, a[pos], value[pos]
 
+    def prod(self, u, v):
+        """Product on B of two vectors of length d, or of two d x n matrices
+        multiplied column by column."""
+        return self._tensor_prod(u, v, legs=1)
+
     def prod2(self, u, v):
         """Componentwise product on B (x) B: (a(x)b)(c(x)e) = ac (x) be.
 
         ``u`` and ``v`` are vectors of length d^2, or d^2 x n matrices
         multiplied column by column.
         """
-        return self._tensor_prod(u, v, op=False)
+        return self._tensor_prod(u, v, legs=2)
 
     def prod2op(self, u, v):
         """Product on B (x) B^op: (a(x)b)(c(x)e) = ac (x) eb, batched like prod2."""
-        return self._tensor_prod(u, v, op=True)
+        return self._tensor_prod(u, v, legs=2, op=True)
 
-    def _tensor_prod(self, u, v, op):
-        """Product on B (x) B, or on B (x) B^op when ``op``, over the nonzeros only.
+    def _tensor_prod(self, u, v, legs, op=False):
+        """Componentwise product on B^(x legs), over the nonzeros only; the
+        last leg multiplies in B^op when ``op``.
 
-        A nonzero u[i*d+j] meets each nonzero v[k*d+l] of its column, the
-        pair meets mult[i, k, a] and mult[j, l, b] (mult[l, j, b] when
-        ``op``: mult^op[j, l] = mult[l, j]), and the term lands in row a*d+b.
+        A nonzero u[s] meets each nonzero v[t] of its column.  On each leg,
+        most significant first, the base-d digits i of s and k of t meet
+        the nonzeros mult[i, k, a] (mult[k, i, a] on the op leg:
+        mult^op[i, k] = mult[k, i]), and the term lands in the row whose
+        digits are the a's.
         """
         f = self.field
         d = self.dim
         u, v = np.asarray(u), np.asarray(v)
         if u.ndim == 1:
-            return self._tensor_prod(u[:, None], v[:, None], op)[:, 0]
+            return self._tensor_prod(u[:, None], v[:, None], legs, op)[:, 0]
         n = u.shape[1]
-        out = f.zeros((d * d, n))
+        rows = d ** legs
+        out = f.zeros((rows, n))
         cu, su = (u.T != 0).nonzero()  # column by column, rows ascending
         cv, tv = (v.T != 0).nonzero()
         nu, nv = np.bincount(cu, minlength=n), np.bincount(cv, minlength=n)
         v_start = nv.cumsum() - nv
-        fan = int(self.mult_nonzeros[1].max()) ** 2  # terms per pair, at most
-        for c0, c1 in column_blocks(nu * nv * fan + d * d):
+        fan = int(self.mult_nonzeros[1].max()) ** legs  # terms per pair, at most
+        for c0, c1 in column_blocks(nu * nv * fan + rows):
             # every pair of nonzeros sharing a column of the block
             lo, hi = cu.searchsorted((c0, c1))
             pair, offset = _runs(nv[cu[lo:hi]])
             col, s = cu[lo:hi][pair], su[lo:hi][pair]
             t = tv[v_start[col] + offset]
-            coef = f.mul(u[s, col], v[t, col])
-            i, j = np.divmod(s, d)
-            k, l = np.divmod(t, d)
-            left, a, x = self.mult_terms(i * d + k)
-            right, b, y = self.mult_terms((l * d + j if op else j * d + l)[left])
-            values = f.mul(f.mul(coef[left], x)[right], y)
+            values = f.mul(u[s, col], v[t, col])
             m = c1 - c0
-            index = (a[right] * d + b) * m + col[left][right] - c0
-            out[:, c0:c1] = f.scatter_sum(index, values, d * d * m).reshape(d * d, m)
+            index = col - c0
+            i, k = np.unravel_index(s, (d,) * legs), np.unravel_index(t, (d,) * legs)
+            keys = [i[leg] * d + k[leg] for leg in range(legs)]
+            if op:
+                keys[-1] = k[-1] * d + i[-1]
+            for leg in range(legs):
+                owner, a, x = self.mult_terms(keys[leg])
+                values = f.mul(values[owner], x)
+                index = index[owner] + a * (d ** (legs - 1 - leg) * m)
+                keys[leg + 1:] = [key[owner] for key in keys[leg + 1:]]
+            out[:, c0:c1] = f.scatter_sum(index, values, rows * m).reshape(rows, m)
         return out
 
     def delta(self, v):
@@ -166,7 +171,7 @@ class Bialgebra:
         return bool(np.all(self.mult == self.mult.transpose(1, 0, 2)))
 
 
-#: terms plus output cells per block of a batched product on B (x) B:
+#: terms plus output cells per block of a batched product on B or B (x) B:
 #: bounds the temporaries of one block, and keeps the int64 scatter-sums
 #: of a block far below 2**63 / (p-1)
 _TERM_BLOCK = 1 << 16
@@ -296,7 +301,7 @@ def verify_axioms(b: Bialgebra) -> AxiomReport:
     m, cm = b.mult_mat, b.comult_mat
     u, e = b.unit_col, b.counit_row
     # Delta(p) Delta(q) in B (x) B at column p*d+q
-    prods = b.prod2(np.repeat(cm, d, axis=1), np.tile(cm, (1, d)))
+    prods = b.prod2(*all_pairs(cm, cm))
     residuals = algebra_residuals(f, b.mult, b.unit) + coalgebra_residuals(f, b.comult, b.counit)
     residuals += [
         ("comult_is_algebra_map", f.sub(matmul(f, cm, m), prods), 2),
@@ -382,37 +387,23 @@ def augmentation_ideal(b: Bialgebra) -> Subspace:
     return kernel(b.field, b.counit_row)
 
 
-def left_multiples(b: Bialgebra, v: Subspace):
-    """Spanning vectors of B . V."""
-    rows = []
-    for t in range(v.dim):
-        w = v.basis[t]
-        for i in range(b.dim):
-            rows.append(b.prod(b.basis_vector(i), w))
-    return rows
-
-
-def right_multiples(b: Bialgebra, v: Subspace):
-    rows = []
-    for t in range(v.dim):
-        w = v.basis[t]
-        for i in range(b.dim):
-            rows.append(b.prod(w, b.basis_vector(i)))
-    return rows
-
-
 def ideal_closure(b: Bialgebra, v: Subspace, sidedness: str = "two_sided") -> Subspace:
-    """Least ideal of the requested sidedness containing v."""
+    """Least ideal of the requested sidedness containing v.
+
+    Each step spans the basis w_t and the products e_i w_t (left) and
+    w_t e_i (right), in rows t*d+i.
+    """
     if v.ambient != b.dim:
         raise DimensionError("subspace does not live inside the bialgebra")
     cur = v
     while True:
-        rows = [cur.basis[t] for t in range(cur.dim)]
+        w, e = all_pairs(cur.basis.T, b.field.eye(b.dim))
+        rows = [cur.basis]
         if sidedness in ("left", "two_sided"):
-            rows += left_multiples(b, cur)
+            rows.append(b.prod(e, w).T)
         if sidedness in ("right", "two_sided"):
-            rows += right_multiples(b, cur)
-        nxt = subspace_from_rows(b.field, b.dim, rows)
+            rows.append(b.prod(w, e).T)
+        nxt = row_space(b.field, np.concatenate(rows))
         if nxt.dim == cur.dim:
             return nxt
         cur = nxt
@@ -429,16 +420,11 @@ def is_coideal(b: Bialgebra, v: Subspace) -> bool:
     if v.dim == 0:
         return True
     f = b.field
-    for t in range(v.dim):
-        if b.eps(v.basis[t]) != 0:
-            return False
+    if not is_zero_matrix(matmul(f, b.counit_row, v.basis.T)):
+        return False
     eye = f.eye(b.dim)
-    mixed = subspace_from_rows(
-        f,
-        b.dim * b.dim,
-        list(kron(f, v.basis, eye)) + list(kron(f, eye, v.basis)),
-    )
-    return all(mixed.contains(b.delta(v.basis[t])) for t in range(v.dim))
+    mixed = row_space(f, np.concatenate([kron(f, v.basis, eye), kron(f, eye, v.basis)]))
+    return mixed.first_outside(b.delta(v.basis.T)) is None
 
 
 @dataclass
@@ -484,10 +470,8 @@ def quotient_by_biideal(b: Bialgebra, ideal: Subspace):
     f = b.field
     proj, _, comp = ideal.quotient_maps()
     q = len(comp)
-    mult = f.zeros((q, q, q))
-    for s in range(q):
-        for t in range(q):
-            mult[s, t] = matmul(f, proj, b.mult[comp[s], comp[t]])
+    products = b.mult[np.ix_(comp, comp)].reshape(q * q, b.dim)
+    mult = matmul(f, proj, products.T).T.reshape(q, q, q)
     comult = f.zeros((q, q, q))
     for t in range(q):
         dk = b.comult[comp[t]]
@@ -525,35 +509,24 @@ def sub_bialgebra(b: Bialgebra, w: Subspace):
         raise PreconditionError("sub_bialgebra: unit not contained in subspace")
     k = w.dim
     pivots = list(w.pivots)
-    products = {}
-    for s in range(k):
-        for t in range(k):
-            p = b.prod(w.basis[s], w.basis[t])
-            if not w.contains(p):
-                raise PreconditionError(
-                    f"sub_bialgebra: product of basis vectors {s},{t} leaves the subspace"
-                )
-            products[s, t] = p
-    ww = subspace_from_rows(
-        f, b.dim * b.dim,
-        [kron(f, w.basis[s], w.basis[t]) for s in range(k) for t in range(k)],
-    )
-    for t in range(k):
-        if not ww.contains(b.delta(w.basis[t])):
-            raise PreconditionError(
-                f"sub_bialgebra: comultiplication of basis vector {t} leaves w (x) w"
-            )
-    mult = f.zeros((k, k, k))
-    for (s, t), p in products.items():
-        mult[s, t] = p[pivots]
-    comult = f.zeros((k, k, k))
-    for t in range(k):
-        dv = b.delta(w.basis[t]).reshape(b.dim, b.dim)
-        comult[t] = dv[np.ix_(pivots, pivots)]
+    basis = w.basis.T
+    products = b.prod(*all_pairs(basis, basis))  # w_s w_t at column s*k+t
+    bad = w.first_outside(products)
+    if bad is not None:
+        s, t = divmod(bad, k)
+        raise PreconditionError(
+            f"sub_bialgebra: product of basis vectors {s},{t} leaves the subspace"
+        )
+    deltas = b.delta(basis)
+    bad = row_space(f, kron(f, w.basis, w.basis)).first_outside(deltas)
+    if bad is not None:
+        raise PreconditionError(
+            f"sub_bialgebra: comultiplication of basis vector {bad} leaves w (x) w"
+        )
+    mult = products[pivots].T.reshape(k, k, k)
+    comult = deltas.reshape(b.dim, b.dim, k)[np.ix_(pivots, pivots)].transpose(2, 0, 1)
     unit = b.unit[pivots].copy()
-    counit = f.zeros(k)
-    for t in range(k):
-        counit[t] = b.eps(w.basis[t])
+    counit = matmul(f, b.counit_row, basis)[0]
     labels = []
     for t in range(k):
         row = w.basis[t]

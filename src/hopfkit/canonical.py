@@ -27,6 +27,7 @@ from .convolution import antipode_shape_check, conv, conv_unit
 from .errors import ConstructionError, InvariantViolation
 from .linalg import (
     Subspace,
+    all_pairs,
     image,
     is_zero_matrix,
     kernel,
@@ -212,16 +213,13 @@ def build_boxslash(b: Bialgebra) -> BoxslashSpace:
     if unit_coords is None:
         raise ConstructionError("1 (x) 1 does not lie in the coinvariant subspace")
 
-    mult = f.zeros((s, s, s))
-    for s1 in range(s):
-        for s2 in range(s):
-            p = b.prod2op(w.basis[s1], w.basis[s2])
-            coords = w.coordinates(p)
-            if coords is None:
-                raise ConstructionError(
-                    f"product of coinvariants {s1},{s2} leaves the subspace"
-                )
-            mult[s1, s2] = coords
+    # s <= d, as p_B is injective: the s^2 products have at most d^4 entries
+    products = b.prod2op(*all_pairs(include, include))
+    bad = w.first_outside(products)
+    if bad is not None:
+        s1, s2 = divmod(bad, s)
+        raise ConstructionError(f"product of coinvariants {s1},{s2} leaves the subspace")
+    mult = products[list(w.pivots)].T.reshape(s, s, s)
 
     # associativity and unitality of the induced algebra
     for name, diff, _ in algebra_residuals(f, mult, unit_coords):
@@ -300,17 +298,13 @@ def T_witness(b: Bialgebra, box: BoxslashSpace | None = None):
 def can_matrix(b: Bialgebra):
     """Matrix of can(x (x) y) = x y1 (x) y2: column (i, j) is (e_i (x) 1) Delta(e_j)."""
     f = b.field
-    d = b.dim
-    left = np.repeat(kron(f, f.eye(d), b.unit_col), d, axis=1)
-    return b.prod2(left, np.tile(b.comult_mat, (1, d)))
+    return b.prod2(*all_pairs(kron(f, f.eye(b.dim), b.unit_col), b.comult_mat))
 
 
 def can_prime_matrix(b: Bialgebra):
     """Matrix of can'(x (x) y) = x1 (x) x2 y: column (i, j) is Delta(e_i) (1 (x) e_j)."""
     f = b.field
-    d = b.dim
-    right = np.tile(kron(f, b.unit_col, f.eye(d)), (1, d))
-    return b.prod2(np.repeat(b.comult_mat, d, axis=1), right)
+    return b.prod2(*all_pairs(b.comult_mat, kron(f, b.unit_col, f.eye(b.dim))))
 
 
 @dataclass

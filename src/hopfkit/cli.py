@@ -214,7 +214,7 @@ def cmd_dualcheck(b, opts):
     return doc, line, 0 if dual.ok else BUG_EXIT
 
 
-def cmd_monoid_units(m, opts):
+def cmd_monoid_units(m):
     info = units_and_left_units(m)
     doc = {
         "units": [m.labels[g] for g in info["units"]],
@@ -313,7 +313,6 @@ def build_parser() -> CliParser:
         p.add_argument("input", help="monoid document (JSON)")
         p.add_argument("--field", default="Q",
                        help="scalar field for the monoid bialgebra (envgroup)")
-        p.add_argument("--matrices", action="store_true")
 
     c = sub.add_parser("corpus", help="run the invariant suite over built-in fixtures")
     c.add_argument("--seed", type=int, default=20240801)
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
             if opts.command == "monoid":
                 m = _load_monoid(opts.input)
                 if opts.monoid_command == "units":
-                    doc, line, code = cmd_monoid_units(m, opts)
+                    doc, line, code = cmd_monoid_units(m)
                 else:
                     doc, line, code = cmd_monoid_envgroup(m, field)
             else:

@@ -28,7 +28,7 @@ from .linalg import (
     kernel,
     matmul,
     rank,
-    subspace_from_rows,
+    row_space,
     subspace_intersection,
     swap_permutation,
     tensordot,
@@ -105,9 +105,7 @@ def cocommutative_cofree(b: Bialgebra) -> HopfResult:
     d = b.dim
     box = build_boxslash(b)
     tau = swap_permutation(d, d)
-    flipped = subspace_from_rows(
-        f, d * d, [box.space.basis[t][tau] for t in range(box.dim)]
-    )
+    flipped = row_space(f, box.space.basis[:, tau])
     cc_space = subspace_intersection(box.space, flipped)
     big = tensor_bialgebra(b, op_bialgebra(b))
     try:
@@ -117,12 +115,10 @@ def cocommutative_cofree(b: Bialgebra) -> HopfResult:
             f"flip-stable coinvariants fail to close for a cocommutative input: {exc}"
         ) from exc
     # restricted flip is the antipode
-    s = f.zeros((cc.dim, cc.dim))
-    for t in range(cc.dim):
-        coords = cc_space.coordinates(cc_space.basis[t][tau])
-        if coords is None:
-            raise InvariantViolation("flip does not preserve the flip-stable part")
-        s[:, t] = coords
+    flips = cc_space.basis[:, tau].T
+    if cc_space.first_outside(flips) is not None:
+        raise InvariantViolation("flip does not preserve the flip-stable part")
+    s = flips[list(cc_space.pivots)]
     cu = conv_unit(cc)
     eye = f.eye(cc.dim)
     if not (f.equal(conv(cc, s, eye), cu) and f.equal(conv(cc, eye, s), cu)):

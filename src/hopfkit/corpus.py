@@ -35,6 +35,7 @@ from .families import (
 )
 from .fields import QQ, PrimeField
 from .linalg import (
+    all_pairs,
     image,
     is_zero_matrix,
     kron,
@@ -194,13 +195,12 @@ def _t_identities_on_im_p(b: Bialgebra, box, t) -> bool:
     )
     if not is_zero_matrix(matmul(f, second, w.basis.T.copy())):
         return False
-    for a in range(w.dim):
-        for bb in range(w.dim):
-            lhs = matmul(f, t, b.prod(w.basis[a], w.basis[bb]))
-            rhs = b.prod(matmul(f, t, w.basis[bb]), matmul(f, t, w.basis[a]))
-            if not f.equal(lhs, rhs):
-                return False
-    return True
+    # T(w_a w_b) = T(w_b) T(w_a) at column a*k+b
+    basis = w.basis.T
+    tw = matmul(f, t, basis)
+    ta, tb = all_pairs(tw, tw)
+    lhs = matmul(f, t, b.prod(*all_pairs(basis, basis)))
+    return f.equal(lhs, b.prod(tb, ta))
 
 
 def check_fixture(fx: CorpusFixture) -> dict:

@@ -23,7 +23,7 @@ from .bialgebra import (
 from .canonical import OslashSpace, S_witness, build_oslash
 from .convolution import conv_hom, conv_inverse
 from .errors import InvariantViolation, PreconditionError
-from .linalg import is_zero_matrix, kron, matmul, rank, swap_permutation
+from .linalg import all_pairs, is_zero_matrix, kron, matmul, rank, swap_permutation
 
 
 @dataclass
@@ -75,16 +75,8 @@ def _oslash_iso(b: Bialgebra, osl: OslashSpace, env: HopfResult):
     h = env.hopf
     qmat = env.structure_map.matrix
     sq = matmul(f, env.antipode, qmat)
-    d = b.dim
-    psi = f.zeros((h.dim, d * d))
-    for i in range(d):
-        qi = qmat[:, i]
-        for j in range(d):
-            psi[:, i * d + j] = h.prod(qi, sq[:, j])
-    well_defined = all(
-        is_zero_matrix(matmul(f, psi, osl.relations.basis[t]))
-        for t in range(osl.relations.dim)
-    )
+    psi = h.prod(*all_pairs(qmat, sq))  # q(e_i) S(q(e_j)) at column i*d+j
+    well_defined = is_zero_matrix(matmul(f, psi, osl.relations.basis.T))
     phi = matmul(f, psi, osl.reps)
     bijective = osl.dim == h.dim and rank(f, phi) == h.dim
     coalg = f.equal(
@@ -112,9 +104,8 @@ def cocommutative_envelope_check(b: Bialgebra) -> bool:
     env = hopf_envelope(b, osl)
     tau = swap_permutation(b.dim, b.dim)
     proj_tau = osl.proj[:, tau]
-    for t in range(osl.relations.dim):
-        if not is_zero_matrix(matmul(f, proj_tau, osl.relations.basis[t])):
-            return False  # flip does not descend: contradicts cocommutativity
+    if not is_zero_matrix(matmul(f, proj_tau, osl.relations.basis.T)):
+        return False  # flip does not descend: contradicts cocommutativity
     flip_q = matmul(f, proj_tau, osl.reps)
     phi, well_defined, bijective, coalg = _oslash_iso(b, osl, env)
     if not (well_defined and bijective and coalg):

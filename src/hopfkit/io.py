@@ -37,7 +37,11 @@ MONOID_SCHEMA = "hopfkit.monoid/1"
 #: hold the d**2 x d**2 factors and output, d**4 entries, plus one block of
 #: temporaries: a few arrays of at most 2**16 terms plus output cells
 #: (``bialgebra._TERM_BLOCK``), under 10 MB at d = 32, so ``verify_axioms``
-#: at d = 32 stays near 51 MB (tracemalloc).
+#: at d = 32 stays near 51 MB (tracemalloc).  The other batched products
+#: stay within d**4 entries too: the B (#) B product pairs s <= d
+#: coinvariants (p_B is injective), d**2 x s**2; every other batch, such
+#: as an ideal-closure step or the k**2 products of a sub-bialgebra, holds
+#: at most d**3.
 #: The largest matrices are the B (/) B relations, (d-1) d**2 x d**2, and
 #: the B (#) B map gamma, d**3 x d**2: at d = 32 about 33.5M entries of
 #: 8 bytes (int64, or a pointer to a shared zero or a Fraction over Q),

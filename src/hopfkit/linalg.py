@@ -35,6 +35,12 @@ def kron(f: Field, a, b):
     return f.kron(a, b)
 
 
+def all_pairs(x, y):
+    """``(xs, ys)`` with column s*n + t holding column s of ``x`` and
+    column t of ``y``, where ``y`` has n columns: every pair, in loop order."""
+    return np.repeat(x, y.shape[1], axis=1), np.tile(y, (1, x.shape[1]))
+
+
 def tensordot(f: Field, a, b, axes):
     """``np.tensordot`` over ``f``: contract ``axes`` by one ``f.matmul``.
 
@@ -141,6 +147,14 @@ class Subspace:
 
     def contains(self, v) -> bool:
         return is_zero_matrix(self.reduce(v))
+
+    def first_outside(self, m):
+        """Index of the first column of the matrix ``m`` outside the
+        subspace, or None.  In rref, v is a member iff v = basis^T v[pivots]."""
+        f = self.field
+        residual = f.sub(m, matmul(f, self.basis.T, m[list(self.pivots)]))
+        bad = np.flatnonzero(np.any(residual != 0, axis=0))
+        return int(bad[0]) if bad.size else None
 
     def coordinates(self, v):
         """Coordinates in the canonical basis; None if v is not a member."""

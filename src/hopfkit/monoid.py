@@ -15,6 +15,7 @@ import numpy as np
 from .bialgebra import Bialgebra, make_bialgebra
 from .errors import HopfkitError, InvariantViolation
 from .fields import Field
+from .linalg import all_pairs
 
 
 @dataclass(eq=False)
@@ -218,33 +219,18 @@ def enveloping_group(m: FiniteMonoid, field: Field):
     result = hopf_envelope(b)
     h = result.hopf
     q = result.structure_map.matrix
-    reps = []
-    mapping = []
-    for g in range(m.size):
-        col = q[:, g]
-        for t, r in enumerate(reps):
-            if np.array_equal(r, col):
-                mapping.append(t)
-                break
-        else:
-            mapping.append(len(reps))
-            reps.append(col.copy())
-    if len(reps) != h.dim:
-        raise InvariantViolation(
-            f"distinct envelope images ({len(reps)}) != dim H ({h.dim})"
-        )
-
-    def locate(v):
-        for t, r in enumerate(reps):
-            if np.array_equal(r, v):
-                return t
-        raise InvariantViolation("product of envelope images is not an image")
-
-    size = len(reps)
-    table = np.zeros((size, size), dtype=np.int64)
-    for a in range(size):
-        for bb in range(size):
-            table[a, bb] = locate(h.prod(reps[a], reps[bb]))
+    index = {}  # image -> its position among the distinct images
+    mapping = [index.setdefault(tuple(col), len(index)) for col in q.T]
+    size = len(index)
+    if size != h.dim:
+        raise InvariantViolation(f"distinct envelope images ({size}) != dim H ({h.dim})")
+    reps = np.array(list(index), dtype=q.dtype).T
+    products = h.prod(*all_pairs(reps, reps))  # image a times image b at column a*size+b
+    try:
+        table = np.array([index[tuple(col)] for col in products.T], dtype=np.int64)
+    except KeyError:
+        raise InvariantViolation("product of envelope images is not an image") from None
+    table = table.reshape(size, size)
     labels = tuple(m.labels[mapping.index(t)] for t in range(size))
     group = make_monoid(table, identity=mapping[m.identity], labels=labels)
     if not cancellativity_report(group)["is_group"]:

@@ -326,6 +326,20 @@ def test_sub_bialgebra_precondition_witnesses(qqp):
         sub_bialgebra(qqp, with_unit)  # Delta(y) leaves w (x) w
 
 
+def test_sub_bialgebra_witnesses_name_the_first_pair(qqp):
+    # basis 1, x, x^2, y, xy, x^2y; the messages were recorded with the
+    # per-pair loops, which stop at the first pair (s, t) in loop order
+    e = QQ.eye(6)
+    no_products = subspace_from_rows(QQ, 6, [e[0], e[2], e[3]])  # x^2 y leaves
+    with pytest.raises(PreconditionError) as exc:
+        sub_bialgebra(qqp, no_products)
+    assert str(exc.value) == "sub_bialgebra: product of basis vectors 1,2 leaves the subspace"
+    no_coproducts = subspace_from_rows(QQ, 6, [e[0], e[2], e[3], e[5]])  # Delta(y) leaves
+    with pytest.raises(PreconditionError) as exc:
+        sub_bialgebra(qqp, no_coproducts)
+    assert str(exc.value) == "sub_bialgebra: comultiplication of basis vector 2 leaves w (x) w"
+
+
 def test_primitives(qqp, kc2):
     assert primitives(qqp).dim == 0
     assert primitives(kc2).dim == 0

@@ -151,6 +151,17 @@ def test_cli_usage_errors_exit_one():
     assert run_cli("envelope").returncode == 1  # missing input
 
 
+@pytest.mark.parametrize("command", ["units", "envgroup"])
+def test_monoid_commands_reject_matrices(command, capsys):
+    # neither report has matrices to emit, so the option is not accepted
+    monoid_doc = str(FIXTURES / "monoid_monogenic_2_3.json")
+    with pytest.raises(SystemExit) as exc:
+        hopfkit.cli.main(["monoid", command, monoid_doc, "--matrices"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--matrices" in captured.err
+
+
 def test_cli_cocofree_precondition():
     res = run_cli("cocofree", str(FIXTURES / "quotient_quantum_plane.json"))
     assert res.returncode == 2

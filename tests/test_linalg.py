@@ -254,3 +254,47 @@ def test_quotient_maps_match_the_residual_definition(data):
     assert proj.dtype == expected.dtype and np.array_equal(proj, expected)
     assert all(type(x) is type(y) for x, y in zip(proj.ravel(), expected.ravel()))
     assert np.array_equal(reps, field.eye(n)[:, list(comp)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_first_outside_is_the_first_column_contains_rejects(data):
+    field = data.draw(st.sampled_from([QQ, F3, PrimeField((1 << 61) - 1)]), label="field")
+    n = data.draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    kind = data.draw(st.sampled_from(["random", "zero", "full"]))
+    if kind == "zero":
+        u = la.zero_subspace(field, n)
+    elif kind == "full":
+        u = full_subspace(field, n)
+    else:
+        rows = data.draw(st.lists(entries, max_size=n + 1))
+        u = la.subspace_from_rows(field, n, [field.array(r) for r in rows])
+    # members (combinations of the basis) mixed with arbitrary columns
+    cols = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        if u.dim and data.draw(st.booleans()):
+            coef = field.array(data.draw(st.lists(st.integers(-3, 3), min_size=u.dim,
+                                                  max_size=u.dim)))
+            cols.append(la.matmul(field, coef, u.basis))
+        else:
+            cols.append(field.array(data.draw(entries)))
+    m = field.zeros((n, len(cols)))
+    for c, v in enumerate(cols):
+        m[:, c] = v
+    outside = [c for c in range(len(cols)) if not u.contains(m[:, c])]
+    assert u.first_outside(m) == (outside[0] if outside else None)
+    for c in range(len(cols)):
+        if c not in outside:
+            assert np.array_equal(m[list(u.pivots), c], u.coordinates(m[:, c]))
+
+
+def test_all_pairs_is_the_loop_order():
+    x = F5.array([[1, 2], [3, 4]])
+    y = F5.array([[0, 1, 2], [3, 4, 0]])
+    xs, ys = la.all_pairs(x, y)
+    for s in range(2):
+        for t in range(3):
+            assert np.array_equal(xs[:, s * 3 + t], x[:, s])
+            assert np.array_equal(ys[:, s * 3 + t], y[:, t])
+    assert [a.shape for a in la.all_pairs(x, y[:, :0])] == [(2, 0), (2, 0)]

@@ -1,9 +1,11 @@
-"""The batched products on B (x) B against their per-pair loops.
+"""The batched products on B and B (x) B against their per-pair loops.
 
-``prod2``/``prod2op`` (single vectors, zero vectors, d^2 x n batches),
-``gamma_matrix``, ``can_matrix``, ``can_prime_matrix`` and the
-Delta(pq) = Delta(p) Delta(q) axiom must agree with the loops of
-``product_reference`` in entries, dtype and entry type.
+``prod``/``prod2``/``prod2op`` (single vectors, zero vectors, batches of
+n columns), ``gamma_matrix``, ``can_matrix``, ``can_prime_matrix`` and
+the Delta(pq) = Delta(p) Delta(q) axiom must agree with the loops of
+``product_reference`` in entries, dtype and entry type; so must
+``ideal_closure``, ``quotient_by_biideal``, ``sub_bialgebra`` and the
+product of ``build_boxslash``, which batch one product per pair.
 """
 
 import random
@@ -12,22 +14,40 @@ import numpy as np
 import pytest
 
 from hopfkit.bialgebra import (
+    augmentation_ideal,
     dual_bialgebra,
+    ideal_closure,
     make_bialgebra,
+    quotient_by_biideal,
+    sub_bialgebra,
     tensor_bialgebra,
     verify_axioms,
 )
-from hopfkit.canonical import can_matrix, can_prime_matrix, gamma_matrix
+from hopfkit.canonical import (
+    build_boxslash,
+    build_oslash,
+    can_matrix,
+    can_prime_matrix,
+    gamma_matrix,
+)
 from hopfkit.corpus import named_fixtures, random_monoid
+from hopfkit.errors import PreconditionError
 from hopfkit.families import radford_dual, sweedler_h4
 from hopfkit.fields import QQ, PrimeField
+from hopfkit.linalg import all_pairs, subspace_from_rows, zero_subspace
 from hopfkit.monoid import cyclic_group, monoid_bialgebra
 
 from axiom_reference import identical, reference_verify_axioms, same_report
 from product_reference import (
+    reference_boxslash_mult,
     reference_can_matrix,
     reference_can_prime_matrix,
     reference_gamma_matrix,
+    reference_ideal_closure,
+    reference_prod,
+    reference_prod_columns,
+    reference_quotient_by_biideal,
+    reference_sub_bialgebra,
     reference_tensor_prod,
     reference_tensor_prod_columns,
 )
@@ -49,15 +69,18 @@ def _inputs():
 
 INPUTS = _inputs()
 IDS = [name for name, _ in INPUTS]
+#: the inputs whose B (/) B and B (#) B take well under a second: all but
+#: the dimension-8 ones over Q
+SMALL = [(name, b) for name, b in INPUTS if b.dim < 8 or b.field != QQ]
+SMALL_IDS = [name for name, _ in SMALL]
 
 
-def _random_columns(b, n, rng):
-    """d^2 x n matrix of sparse random entries; column 0 is zero when n > 1."""
-    f, d2 = b.field, b.dim * b.dim
-    raw = rng.integers(-3, 4, size=(d2, n)) * (rng.random((d2, n)) < 0.3)
+def _random_columns(f, rows, n, rng):
+    """rows x n matrix of sparse random entries; column 0 is zero when n > 1."""
+    raw = rng.integers(-3, 4, size=(rows, n)) * (rng.random((rows, n)) < 0.3)
     if n > 1:
         raw[:, 0] = 0
-    out = f.zeros((d2, n))
+    out = f.zeros((rows, n))
     for (r, c), x in np.ndenumerate(raw):
         out[r, c] = f.scalar(int(x))
     return out
@@ -77,7 +100,7 @@ def test_tensor_products_match_reference_loops(name, b, op):
     rng = np.random.default_rng(len(name))
     d = b.dim
     for n in (1, 4):
-        u, v = _random_columns(b, n, rng), _random_columns(b, n, rng)
+        u, v = (_random_columns(b.field, d * d, n, rng) for _ in range(2))
         assert identical(product(u, v), reference_tensor_prod_columns(b, u, v, op))
         for c in range(n):
             assert identical(product(u[:, c], v[:, c]), reference_tensor_prod(b, u[:, c], v[:, c], op))
@@ -109,3 +132,85 @@ def test_only_broken_multiplicativity_has_the_reference_witness(field):
     witness = verify_axioms(dual_numbers).first_failure().witness
     assert witness[0] == (1, 1)
     assert identical(witness[1], field.array([0, 0, 0, -2]))
+
+
+@pytest.mark.parametrize("name, b", INPUTS, ids=IDS)
+def test_products_on_b_match_reference_loops(name, b):
+    f, d = b.field, b.dim
+    rng = np.random.default_rng(len(name))
+    for n in (0, 1, 5):
+        u, v = (_random_columns(f, d, n, rng) for _ in range(2))
+        assert identical(b.prod(u, v), reference_prod_columns(b, u, v))
+        for c in range(n):
+            assert identical(b.prod(u[:, c], v[:, c]), reference_prod(b, u[:, c], v[:, c]))
+    # the multiplication table: e_i e_j at column i*d+j
+    e, e2 = all_pairs(f.eye(d), f.eye(d))
+    assert identical(b.prod(e, e2), reference_prod_columns(b, e, e2))
+    zero = f.zeros(d)
+    assert identical(b.prod(zero, b.unit), reference_prod(b, zero, b.unit))
+    assert identical(b.prod(b.unit, zero), f.zeros(d))
+
+
+def _random_subspace(b, rng):
+    f, d = b.field, b.dim
+    return subspace_from_rows(f, d, list(_random_columns(f, d, int(rng.integers(0, 3)), rng).T))
+
+
+def _same_subspace(x, y):
+    return x == y and identical(x.basis, y.basis)
+
+
+@pytest.mark.parametrize("name, b", INPUTS, ids=IDS)
+def test_ideal_closure_matches_reference_loops(name, b):
+    rng = np.random.default_rng(len(name) + 1)
+    for _ in range(3):
+        v = _random_subspace(b, rng)
+        for side in ("left", "right", "two_sided"):
+            assert _same_subspace(ideal_closure(b, v, side), reference_ideal_closure(b, v, side))
+
+
+def _same_bialgebra(x, y):
+    return (
+        all(identical(getattr(x, a), getattr(y, a)) for a in ("mult", "comult", "unit", "counit"))
+        and x.labels == y.labels
+    )
+
+
+def _same_result(got, ref):
+    """Same bialgebra and structure map, or the same precondition message."""
+    if isinstance(got, str) or isinstance(ref, str):
+        return got == ref
+    return _same_bialgebra(got[0], ref[0]) and identical(got[1].matrix, ref[1].matrix)
+
+
+def _outcome(build, b, w):
+    try:
+        return build(b, w)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name, b", SMALL, ids=SMALL_IDS)
+def test_quotients_match_reference_loops(name, b):
+    f = b.field
+    ideals = [zero_subspace(f, b.dim), augmentation_ideal(b), build_oslash(b).ker_i]
+    rng = np.random.default_rng(len(name) + 2)
+    # two-sided ideals that are often not coideals
+    ideals += [ideal_closure(b, _random_subspace(b, rng)) for _ in range(2)]
+    for ideal in ideals:
+        got = _outcome(quotient_by_biideal, b, ideal)
+        assert _same_result(got, _outcome(reference_quotient_by_biideal, b, ideal))
+
+
+@pytest.mark.parametrize("name, b", SMALL, ids=SMALL_IDS)
+def test_sub_bialgebras_match_reference_loops(name, b):
+    f, d = b.field, b.dim
+    box = build_boxslash(b)
+    assert identical(box.mult, reference_boxslash_mult(b, box.space))
+    spans = [box.im_p, subspace_from_rows(f, d, [b.unit])]
+    rng = np.random.default_rng(len(name) + 3)
+    for _ in range(3):  # with the unit, most fail one of the closure checks
+        extra = _random_columns(f, d, int(rng.integers(1, 3)), rng).T
+        spans.append(subspace_from_rows(f, d, [b.unit, *extra]))
+    for w in spans:
+        assert _same_result(_outcome(sub_bialgebra, b, w), _outcome(reference_sub_bialgebra, b, w))

@@ -1,0 +1,60 @@
+"""Exact work counts: each construction makes one batched product call.
+
+A product or membership loop that goes back to one call per vector or
+per pair of vectors shows up here as a larger count, without timing
+noise.  The counts are of calls of ``Bialgebra.prod``, ``prod2`` and
+``prod2op``.
+"""
+
+from collections import Counter
+
+import pytest
+
+from hopfkit.bialgebra import Bialgebra, sub_bialgebra, tensor_bialgebra
+from hopfkit.canonical import build_boxslash
+from hopfkit.cofree import cofree_hopf
+from hopfkit.envelope import hopf_envelope
+from hopfkit.families import radford_dual, sweedler_h4
+from hopfkit.fields import PrimeField
+from hopfkit.monoid import monogenic, monoid_bialgebra
+
+F3 = PrimeField(3)
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    calls = Counter()
+    for name in ("prod", "prod2", "prod2op"):
+        def counted(self, u, v, _name=name, _product=getattr(Bialgebra, name)):
+            calls[_name] += 1
+            return _product(self, u, v)
+        monkeypatch.setattr(Bialgebra, name, counted)
+    return calls
+
+
+def test_boxslash_and_cofree_make_one_prod2op_call(product_calls):
+    b = tensor_bialgebra(sweedler_h4(F3), radford_dual(2, F3))  # 16 coinvariant pairs
+    box = build_boxslash(b)
+    assert box.dim == 4 and product_calls["prod2op"] == 1
+    product_calls.clear()
+    cofree_hopf(b)
+    assert product_calls["prod2op"] == 1
+
+
+def test_sub_bialgebra_makes_one_prod_call(product_calls):
+    b = tensor_bialgebra(sweedler_h4(F3), radford_dual(2, F3))
+    w = build_boxslash(b).im_p
+    product_calls.clear()
+    sub_bialgebra(b, w)
+    assert product_calls["prod"] == 1
+
+
+def test_envelope_product_calls_do_not_grow_with_dimension(product_calls):
+    counts = []
+    for m in (monogenic(2, 3), monogenic(6, 6)):  # dimension 5 and 12
+        product_calls.clear()
+        hopf_envelope(monoid_bialgebra(m, F3))
+        counts.append(product_calls["prod"])
+    # one call per side per ideal-closure step: left closure, two-sided
+    # closure and the bi-ideal check of the quotient
+    assert counts == [5, 5]
