@@ -1,11 +1,13 @@
 """The convolution algebra End(B) with f * g = m o (f (x) g) o Delta.
 
 Endomorphisms are plain dim x dim matrices over the bialgebra's field.
-Convolution inverses and minimal n-antipodes are found by linear solves:
-for fixed h the map S |-> S * h is linear, so each candidate index n
-costs one deterministic solve.  Witness matrices are therefore solver
-representatives; tests assert the defining identities, never a specific
-matrix, because one-sided n-antipodes are not unique.
+S * Id^{*(n+1)} = Id^{*n} is solvable exactly from n = k on, where k is
+the index of Id in End(B): the multiplicity of 0 as a root of its
+minimal polynomial, the same on both sides.  So minimal n-antipodes cost
+no search over n: one solve at k, plus one at k - 1 that must fail.
+Witness matrices are solver representatives; tests assert the defining
+identities, never a specific matrix, because one-sided n-antipodes are
+not unique.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .linalg import (
     solve,
     subspace_from_rows,
     swap_permutation,
+    tensordot,
 )
 
 
@@ -31,12 +34,11 @@ def conv_unit(b: Bialgebra):
 
 def conv(b: Bialgebra, f, g):
     """f * g = m o (f (x) g) o Delta."""
-    fld = b.field
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape != (b.dim, b.dim) or g.shape != (b.dim, b.dim):
         raise DimensionError("conv expects square matrices matching the bialgebra")
-    return matmul(fld, b.mult_mat, matmul(fld, kron(fld, f, g), b.comult_mat))
+    return conv_hom(b, b, f, g)
 
 
 def conv_hom(source: Bialgebra, target: Bialgebra, f, g):
@@ -62,31 +64,22 @@ def conv_power(b: Bialgebra, k: int):
     return acc
 
 
-def conv_powers(b: Bialgebra, up_to: int):
-    """[Id^{*0}, ..., Id^{*up_to}] by iterated convolution."""
-    out = [conv_unit(b)]
-    eye = b.field.eye(b.dim)
-    for _ in range(up_to):
-        out.append(conv(b, out[-1], eye))
-    return out
-
-
 def conv_operator(b: Bialgebra, h, side: str):
     """Matrix of g |-> g * h  (side="right") or g |-> h * g (side="left").
 
-    Acts on row-major vectorizations of d x d matrices.
+    Acts on row-major vectorizations of d x d matrices.  As
+    (g * h)[a, b] = sum mult[i, j, a] g[i, k] h[j, l] comult[b, k, l],
+    the entry at ((a, b), (i, k)) contracts mult with h over j, then
+    comult over l.  h * g is g * h in B with both tensor legs flipped.
     """
     fld = b.field
     d = b.dim
-    op = fld.zeros((d * d, d * d))
-    unit_mat = fld.zeros((d, d))
-    for s in range(d):
-        for t in range(d):
-            e = unit_mat.copy()
-            e[s, t] = fld.one
-            image = conv(b, e, h) if side == "right" else conv(b, h, e)
-            op[:, s * d + t] = image.reshape(-1)
-    return op
+    mult, comult = b.mult, b.comult
+    if side != "right":
+        mult, comult = mult.transpose(1, 0, 2), comult.transpose(0, 2, 1)
+    half = tensordot(fld, mult, h, ([1], [0]))            # (i, a, l)
+    full = tensordot(fld, half, comult, ([2], [2]))       # (i, a, b, k)
+    return full.transpose(1, 2, 0, 3).reshape(d * d, d * d)
 
 
 def conv_inverse(b: Bialgebra, f, side: str = "two_sided"):
@@ -134,21 +127,34 @@ class NAntipodeResult:
         return ok
 
 
-def _id_power_span(b: Bialgebra, powers):
-    return subspace_from_rows(
-        b.field, b.dim * b.dim, [p.reshape(-1) for p in powers]
-    )
+def _columns(powers):
+    return np.stack([p.reshape(-1) for p in powers], axis=1)
 
 
-def _search_limit(b: Bialgebra) -> int:
-    return b.dim * b.dim + 1
+def _id_powers(b: Bialgebra):
+    """``(powers, span, k)``: Id^{*0}, ..., Id^{*m} for m = dim k[Id], the
+    span k[Id] of all but the last, and the index k of Id.
+
+    Id^{*m} = sum_t c_t Id^{*t} gives the minimal polynomial, and k is the
+    first t with c_t != 0; all c_t = 0 would contradict eps o Id^{*m} = eps.
+    """
+    fld = b.field
+    eye = fld.eye(b.dim)
+    powers = [conv_unit(b)]
+    while True:
+        span = subspace_from_rows(fld, b.dim**2, [p.reshape(-1) for p in powers])
+        powers.append(conv(b, powers[-1], eye))
+        if span.contains(powers[-1].reshape(-1)):
+            break
+    c = solve(fld, _columns(powers[:-1]), powers[-1].reshape(-1))
+    return powers, span, int(np.flatnonzero(c != 0)[0])
 
 
 def minimal_left_n_antipode(b: Bialgebra) -> NAntipodeResult:
     """Smallest n admitting S with S * Id^{*(n+1)} = Id^{*n}.
 
-    Existence is guaranteed in finite dimension, so exceeding the search
-    bound dim^2 + 1 signals a bug.
+    n is the index of Id; the solves at n and n - 1 certify it, and a
+    solve that contradicts it raises InvariantViolation.
     """
     return _minimal_one_sided(b, "left")
 
@@ -159,59 +165,49 @@ def minimal_right_n_antipode(b: Bialgebra) -> NAntipodeResult:
 
 def _minimal_one_sided(b: Bialgebra, sided: str) -> NAntipodeResult:
     fld = b.field
-    limit = _search_limit(b)
-    powers = conv_powers(b, limit + 1)
-    for n in range(limit + 1):
-        op_side = "right" if sided == "left" else "left"
+    powers, span, k = _id_powers(b)
+    op_side = "right" if sided == "left" else "left"
+
+    def solve_at(n):
         op = conv_operator(b, powers[n + 1], op_side)
-        x = solve(fld, op, powers[n].reshape(-1))
-        if x is not None:
-            s = x.reshape(b.dim, b.dim)
-            central = _id_power_span(b, powers[: b.dim * b.dim]).contains(s.reshape(-1))
-            return NAntipodeResult(n, s, sided, bool(central))
-    raise InvariantViolation("no one-sided n-antipode found below the finite bound")
+        return solve(fld, op, powers[n].reshape(-1))
+
+    x = solve_at(k)
+    if x is None or (k > 0 and solve_at(k - 1) is not None):
+        n, verdict = (k, "inconsistent") if x is None else (k - 1, "consistent")
+        raise InvariantViolation(
+            f"Id has index {k}, but the {sided} n-antipode solve at n = {n} is {verdict}"
+        )
+    return NAntipodeResult(k, x.reshape(b.dim, b.dim), sided, span.contains(x))
 
 
 def central_n_antipode(b: Bialgebra) -> NAntipodeResult:
     """Minimal-index two-sided n-antipode inside the commutative span k[Id].
 
-    The span of convolution powers of Id closes once a power depends on
-    its predecessors, so solving inside it reduces to expressing Id^{*n}
-    through the m consecutive higher powers.
+    At the index k of Id, Id^{*k} is a combination of the m powers
+    Id^{*(k+1)}, ..., Id^{*(k+m)}, m = dim k[Id]; the same combination of
+    Id^{*0}, ..., Id^{*(m-1)} is the n-antipode.
     """
     fld = b.field
-    d = b.dim
-    powers = [conv_unit(b)]
-    eye = fld.eye(d)
-    span = _id_power_span(b, powers)
-    while True:
-        nxt = conv(b, powers[-1], eye)
-        if span.contains(nxt.reshape(-1)):
-            break
-        powers.append(nxt)
-        span = _id_power_span(b, powers)
-        if len(powers) > d * d + 1:
-            raise InvariantViolation("convolution powers of Id do not close")
-    m = len(powers)  # dim of k[Id]
-    while len(powers) < 2 * m + 2:
+    powers, _, k = _id_powers(b)
+    m = len(powers) - 1
+    eye = fld.eye(b.dim)
+    while len(powers) <= k + m:
         powers.append(conv(b, powers[-1], eye))
-    for n in range(m + 1):
-        cols = fld.zeros((d * d, m))
-        for t in range(m):
-            cols[:, t] = powers[n + 1 + t].reshape(-1)
-        c = solve(fld, cols, powers[n].reshape(-1))
-        if c is None:
-            continue
-        s = fld.zeros((d, d))
-        for t in range(m):
-            s = fld.addmul(s, c[t], powers[t])
-        result = NAntipodeResult(n, s, "two_sided", True)
-        if not result.check(b):
-            raise InvariantViolation("central antipode candidate fails its identity")
-        if not fld.equal(conv(b, s, eye), conv(b, eye, s)):
-            raise InvariantViolation("central antipode does not commute with Id")
-        return result
-    raise InvariantViolation("no central n-antipode found inside k[Id]")
+    c = solve(fld, _columns(powers[k + 1 : k + m + 1]), powers[k].reshape(-1))
+    if c is None:
+        raise InvariantViolation(
+            f"Id has index {k}, but no central n-antipode exists at n = {k}"
+        )
+    s = fld.zeros((b.dim, b.dim))
+    for t in range(m):
+        s = fld.addmul(s, c[t], powers[t])
+    result = NAntipodeResult(k, s, "two_sided", True)
+    if not result.check(b):
+        raise InvariantViolation("central antipode candidate fails its identity")
+    if not fld.equal(conv(b, s, eye), conv(b, eye, s)):
+        raise InvariantViolation("central antipode does not commute with Id")
+    return result
 
 
 def antipode_shape_check(b: Bialgebra, s) -> dict:

@@ -1,24 +1,54 @@
-"""Convolution products, powers, inverses and minimal n-antipodes."""
+"""Convolution products, powers, inverses and minimal n-antipodes.
+
+The n-antipode searches and ``conv_operator`` must agree with the linear
+search of ``nantipode_reference`` in index, matrix (entries, dtype and
+entry type), side and centrality.
+"""
 
 import random
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopfkit.cli
+from hopfkit import convolution
+from hopfkit.bialgebra import dual_bialgebra
 from hopfkit.canonical import frobenius_report
 from hopfkit.convolution import (
     antipode_shape_check,
     central_n_antipode,
     conv,
     conv_inverse,
+    conv_operator,
     conv_power,
-    conv_powers,
     conv_unit,
     minimal_left_n_antipode,
     minimal_right_n_antipode,
 )
-from hopfkit.families import matrix_coalgebra, radford_adjoin_unit, radford_dual, sweedler_h4
+from hopfkit.corpus import named_fixtures, random_monoid
+from hopfkit.errors import InvariantViolation
+from hopfkit.families import (
+    matrix_coalgebra,
+    quotient_quantum_plane,
+    radford_adjoin_unit,
+    radford_dual,
+    sweedler_h4,
+)
 from hopfkit.fields import QQ, PrimeField
 from hopfkit.monoid import cyclic_group, monogenic, monoid_bialgebra
+
+from axiom_reference import identical
+from nantipode_reference import (
+    reference_central,
+    reference_conv_operator,
+    reference_conv_powers,
+    reference_one_sided,
+)
+
+FIELDS = [QQ, PrimeField(3), PrimeField((1 << 31) - 1), PrimeField((1 << 61) - 1)]
 
 
 def _random_endo(field, d, rng):
@@ -68,7 +98,7 @@ def test_id_powers_on_quantum_plane(qqp):
 
 def test_power_zero_is_unit_and_fast_equals_iterated(qqp):
     assert np.array_equal(conv_power(qqp, 0), conv_unit(qqp))
-    iterated = conv_powers(qqp, 8)
+    iterated = reference_conv_powers(qqp, 8)
     for k in range(9):
         assert np.array_equal(conv_power(qqp, k), iterated[k])
 
@@ -189,3 +219,77 @@ def test_invertible_id_matches_frobenius(kc2):
     assert minimal_left_n_antipode(kc2).n == 0
     rep = frobenius_report(kc2)
     assert rep.i_bijective and rep.p_bijective and rep.consistent
+
+
+def _same_result(got, ref):
+    return (
+        got.n == ref.n
+        and identical(got.matrix, ref.matrix)
+        and got.sided == ref.sided
+        and got.central == ref.central
+    )
+
+
+def _assert_searches_match_reference(b):
+    assert _same_result(minimal_left_n_antipode(b), reference_one_sided(b, "left"))
+    assert _same_result(minimal_right_n_antipode(b), reference_one_sided(b, "right"))
+    assert _same_result(central_n_antipode(b), reference_central(b))
+
+
+NAMED = [(fx.name, fx.bialgebra) for fx in named_fixtures()]
+NAMED += [(f"dual({name})", dual_bialgebra(b)) for name, b in NAMED]
+
+
+@pytest.mark.parametrize("name, b", NAMED, ids=[name for name, _ in NAMED])
+def test_n_antipodes_match_reference_search(name, b):
+    _assert_searches_match_reference(b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), field=st.sampled_from([QQ, PrimeField(3)]),
+       dual=st.booleans())
+def test_n_antipodes_of_random_monoids_match_reference_search(seed, field, dual):
+    b = monoid_bialgebra(random_monoid(random.Random(seed), max_size=4), field)
+    _assert_searches_match_reference(dual_bialgebra(b) if dual else b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_conv_operator_matches_reference_loop(field, side):
+    rng = random.Random(7)
+    for b in (quotient_quantum_plane(field), dual_bialgebra(radford_dual(2, field))):
+        h = _random_endo(field, b.dim, rng)
+        assert identical(conv_operator(b, h, side), reference_conv_operator(b, h, side))
+
+
+@pytest.fixture
+def misplaced_index(monkeypatch):
+    """Make ``_id_powers`` report the index of Id shifted by ``by``."""
+    def shift(by):
+        find = convolution._id_powers
+
+        def shifted(b):
+            powers, span, k = find(b)
+            return powers, span, k + by
+
+        monkeypatch.setattr(convolution, "_id_powers", shifted)
+    return shift
+
+
+@pytest.mark.parametrize("by, n, verdict", [(-1, 1, "inconsistent"), (1, 2, "consistent")])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_misplaced_index_of_id_is_an_invariant_violation(misplaced_index, side, by, n, verdict):
+    # Id has index 2 on monogenic(2, 3): the system at 1 is inconsistent, at 2 not
+    b = monoid_bialgebra(monogenic(2, 3), QQ)
+    misplaced_index(by)
+    search = minimal_left_n_antipode if side == "left" else minimal_right_n_antipode
+    with pytest.raises(InvariantViolation, match=f"{side} n-antipode solve at n = {n} is {verdict}"):
+        search(b)
+
+
+def test_misplaced_index_of_id_exits_3(misplaced_index, capsys):
+    misplaced_index(1)
+    path = str(Path(hopfkit.__file__).parent / "fixtures" / "monoid_monogenic_2_3.json")
+    assert hopfkit.cli.main(["nantipode", path, "--field", "F3"]) == 3
+    err = capsys.readouterr().err
+    assert "index 3" in err and "Traceback" not in err

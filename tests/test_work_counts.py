@@ -3,20 +3,26 @@
 A product or membership loop that goes back to one call per vector or
 per pair of vectors shows up here as a larger count, without timing
 noise.  The counts are of calls of ``Bialgebra.prod``, ``prod2`` and
-``prod2op``.
+``prod2op``, and of ``conv`` and ``conv_operator`` in the n-antipode
+searches.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from hopfkit import convolution
 from hopfkit.bialgebra import Bialgebra, sub_bialgebra, tensor_bialgebra
 from hopfkit.canonical import build_boxslash
 from hopfkit.cofree import cofree_hopf
 from hopfkit.envelope import hopf_envelope
 from hopfkit.families import radford_dual, sweedler_h4
 from hopfkit.fields import PrimeField
+from hopfkit.linalg import rank
 from hopfkit.monoid import monogenic, monoid_bialgebra
+
+from nantipode_reference import reference_conv_powers
 
 F3 = PrimeField(3)
 
@@ -58,3 +64,30 @@ def test_envelope_product_calls_do_not_grow_with_dimension(product_calls):
     # one call per side per ideal-closure step: left closure, two-sided
     # closure and the bi-ideal check of the quotient
     assert counts == [5, 5]
+
+
+@pytest.fixture
+def convolution_calls(monkeypatch):
+    calls = Counter()
+    for name in ("conv", "conv_operator"):
+        def counted(*args, _name=name, _fn=getattr(convolution, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(convolution, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("i, p", [(2, 3), (4, 4)])  # index of Id 2 and 4
+def test_n_antipode_search_makes_two_operators(convolution_calls, i, p):
+    b = monoid_bialgebra(monogenic(i, p), F3)
+    powers = reference_conv_powers(b, b.dim * b.dim)
+    m = rank(F3, np.stack([q.reshape(-1) for q in powers]))  # dim k[Id]
+    convolution_calls.clear()
+    # one operator at the index, one just below it to certify minimality,
+    # and the Krylov sequence Id^{*0}, ..., Id^{*m}
+    assert convolution.minimal_left_n_antipode(b).n == i
+    assert convolution_calls["conv_operator"] == 2
+    assert convolution_calls["conv"] <= m + 2
+    convolution_calls.clear()
+    convolution.conv_operator(b, powers[1], "right")
+    assert convolution_calls == {"conv_operator": 1}
