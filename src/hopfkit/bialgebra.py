@@ -167,9 +167,6 @@ class Bialgebra:
     def is_cocommutative(self) -> bool:
         return bool(np.all(self.comult == self.comult.transpose(0, 2, 1)))
 
-    def is_commutative(self) -> bool:
-        return bool(np.all(self.mult == self.mult.transpose(1, 0, 2)))
-
 
 #: terms plus output cells per block of a batched product on B or B (x) B:
 #: bounds the temporaries of one block, and keeps the int64 scatter-sums
@@ -472,15 +469,9 @@ def quotient_by_biideal(b: Bialgebra, ideal: Subspace):
     q = len(comp)
     products = b.mult[np.ix_(comp, comp)].reshape(q * q, b.dim)
     mult = matmul(f, proj, products.T).T.reshape(q, q, q)
-    comult = f.zeros((q, q, q))
-    for t in range(q):
-        dk = b.comult[comp[t]]
-        acc = f.zeros((q, q))
-        for i in np.nonzero(np.any(dk != 0, axis=1))[0]:
-            for j in np.nonzero(dk[i] != 0)[0]:
-                outer = f.mul(proj[:, i, None], proj[None, :, j])
-                acc = f.addmul(acc, dk[i, j], outer)
-        comult[t] = acc
+    # proj on each leg of Delta(e_c), c in comp: (t, j, x), then (t, x, y)
+    left = tensordot(f, b.comult[list(comp)], proj, ([1], [1]))
+    comult = tensordot(f, left, proj, ([1], [1]))
     unit = matmul(f, proj, b.unit)
     counit = b.counit[list(comp)].copy()
     labels = tuple(b.labels[c] for c in comp)

@@ -24,7 +24,7 @@ from .bialgebra import (
     column_blocks,
 )
 from .convolution import antipode_shape_check, conv, conv_unit
-from .errors import ConstructionError, InvariantViolation
+from .errors import ConstructionError, InvariantViolation, PreconditionError
 from .linalg import (
     Subspace,
     all_pairs,
@@ -53,12 +53,6 @@ class OslashSpace:
     ker_i: Subspace
     surjective: bool
     injective: bool
-
-    def act(self, ab_vec, class_vec):
-        """Left action of B (x) B on the quotient: (a(x)b).(x/y) = ax/by."""
-        b = self.source
-        rep = matmul(b.field, self.reps, class_vec)
-        return matmul(b.field, self.proj, b.prod2(ab_vec, rep))
 
 
 def oslash_relations(b: Bialgebra) -> Subspace:
@@ -256,14 +250,14 @@ def build_boxslash(b: Bialgebra) -> BoxslashSpace:
 # witnesses and diagnostics
 
 
-def S_witness(b: Bialgebra, osl: OslashSpace | None = None):
+def S_witness(osl: OslashSpace):
     """An endomorphism with S(y) (x) 1 = 1 (x) y in the quotient.
 
     Built from the deterministic section of i_B; requires i_B surjective,
     which holds for every verified finite-dimensional bialgebra.
     """
+    b = osl.source
     f = b.field
-    osl = osl or build_oslash(b)
     if not osl.surjective:
         raise InvariantViolation("i_B not surjective on a finite-dimensional bialgebra")
     section = solve_matrix(f, osl.i_matrix, f.eye(osl.dim))
@@ -275,13 +269,13 @@ def S_witness(b: Bialgebra, osl: OslashSpace | None = None):
     return s
 
 
-def T_witness(b: Bialgebra, box: BoxslashSpace | None = None):
+def T_witness(box: BoxslashSpace):
     """An endomorphism with T(x^i) eps(y_i) = eps(x^i) y_i on coinvariants.
 
     Built from the deterministic retraction of p_B; requires p_B injective.
     """
+    b = box.source
     f = b.field
-    box = box or build_boxslash(b)
     if not box.injective:
         raise InvariantViolation("p_B not injective on a finite-dimensional bialgebra")
     retraction_t = solve_matrix(f, box.p_matrix.T.copy(), f.eye(box.dim))
@@ -319,30 +313,25 @@ class FrobeniusReport:
     can_prime_bijective: bool
 
 
-def frobenius_report(
-    b: Bialgebra,
-    osl: OslashSpace | None = None,
-    box: BoxslashSpace | None = None,
-) -> FrobeniusReport:
+def frobenius_report(osl: OslashSpace, box: BoxslashSpace) -> FrobeniusReport:
     """Equivalence diagnostics: i_B bijective, p_B bijective, and the
     existence of an anti-bialgebra right antipode must agree.
 
-    When i_B is bijective, S^r(y) = i_B^{-1}(class(1 (x) y)) is extracted
-    and checked to be a right antipode and an anti-bialgebra map; those
-    checks are theorem-backed, so a failure raises InvariantViolation.
+    When i_B is bijective, S^r(y) = i_B^{-1}(class(1 (x) y)) is the
+    section witness and is checked to be a right antipode and an
+    anti-bialgebra map; those checks are theorem-backed, so a failure
+    raises InvariantViolation.
     """
+    b = osl.source
+    if box.source is not b:
+        raise PreconditionError("frobenius_report: B (/) B and B (#) B of different bialgebras")
     f = b.field
-    osl = osl or build_oslash(b)
-    box = box or build_boxslash(b)
     i_bij = osl.surjective and osl.injective
     p_bij = box.injective and box.surjective
     sr = None
     anti_alg = anti_coalg = None
     if i_bij:
-        emb2 = kron(f, b.unit_col, f.eye(b.dim))
-        sr = solve_matrix(f, osl.i_matrix, matmul(f, osl.proj, emb2))
-        if sr is None:
-            raise InvariantViolation("bijective i_B with unsolvable inversion")
+        sr = S_witness(osl)
         if not f.equal(conv(b, f.eye(b.dim), sr), conv_unit(b)):
             raise InvariantViolation("extracted S^r is not a right antipode")
         shape = antipode_shape_check(b, sr)

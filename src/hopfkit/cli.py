@@ -120,7 +120,7 @@ def cmd_boxslash(b, opts):
 
 
 def cmd_frobenius(b, opts):
-    rep = frobenius_report(b)
+    rep = frobenius_report(build_oslash(b), build_boxslash(b))
     doc = {
         "i_bijective": bool(rep.i_bijective),
         "p_bijective": bool(rep.p_bijective),
@@ -160,9 +160,9 @@ def cmd_nantipode(b, opts):
 
 
 def cmd_envelope(b, opts):
-    osl = build_oslash(b)
-    env = hopf_envelope(b, osl)
-    iso = oslash_iso_check(b, osl, env)
+    env = hopf_envelope(b)
+    osl = env.space
+    iso = oslash_iso_check(env)
     doc = {
         "hopf_dim": env.hopf.dim,
         "ker_i_dim": osl.ker_i.dim,
@@ -181,8 +181,8 @@ def cmd_envelope(b, opts):
 
 
 def cmd_cofree(b, opts):
-    box = build_boxslash(b)
-    cof = cofree_hopf(b, box)
+    cof = cofree_hopf(b)
+    box = cof.space
     doc = {
         "cofree_dim": cof.hopf.dim,
         "boxslash_dim": box.dim,

@@ -35,14 +35,15 @@ from .linalg import (
 )
 
 
-def K_of(b: Bialgebra, box: BoxslashSpace | None = None):
-    """The largest sub-bialgebra candidate {b | Delta(b) in im(p_B) (x) B}.
+def K_of(box: BoxslashSpace):
+    """The largest sub-bialgebra candidate {b | Delta(b) in im(p_B) (x) B}
+    of B = box.source.
 
     Computed twice: directly as a kernel, and as im(p_B); the two must
     agree in finite dimension.  Returns the sub-bialgebra and inclusion.
     """
+    b = box.source
     f = b.field
-    box = box or build_boxslash(b)
     w = box.im_p
     d = b.dim
     # Delta(v) lies in w (x) B iff (proj (x) id) Delta(v) = 0
@@ -56,23 +57,23 @@ def K_of(b: Bialgebra, box: BoxslashSpace | None = None):
     return sub_bialgebra(b, w)
 
 
-def cofree_hopf(b: Bialgebra, box: BoxslashSpace | None = None) -> HopfResult:
-    """K(B) with its antipode and the verified inclusion k_B."""
+def cofree_hopf(b: Bialgebra) -> HopfResult:
+    """K(B) with its antipode, the verified inclusion k_B and B (#) B."""
     f = b.field
-    box = box or build_boxslash(b)
-    sub, kmor = K_of(b, box)
+    box = build_boxslash(b)
+    sub, kmor = K_of(box)
     if sub.dim != box.dim:
         raise InvariantViolation("dim K(B) differs from dim B (#) B")
     antipode = conv_inverse(sub, f.eye(sub.dim), "two_sided")
     if antipode is None:
         raise InvariantViolation("cofree sub-bialgebra admits no antipode")
-    tw = T_witness(b, box)
+    tw = T_witness(box)
     kmat = kmor.matrix
     ub_eps = matmul(f, b.unit_col, sub.counit_row)
     right = conv_hom(sub, b, kmat, matmul(f, tw, kmat))
     if not f.equal(right, ub_eps):
         raise InvariantViolation("k_B * (T o k_B) is not the convolution unit")
-    return HopfResult(sub, antipode, kmor, "sub")
+    return HopfResult(sub, antipode, kmor, box)
 
 
 def iterate_K(b: Bialgebra):
@@ -83,7 +84,7 @@ def iterate_K(b: Bialgebra):
         box = build_boxslash(cur)
         if box.im_p.dim == cur.dim:
             break
-        cur, _ = K_of(cur, box)
+        cur, _ = K_of(box)
         steps += 1
         if steps > b.dim:
             raise InvariantViolation("iterate_K failed to terminate within dim steps")
@@ -128,7 +129,7 @@ def cocommutative_cofree(b: Bialgebra) -> HopfResult:
     mor = morphism_check(pmat, cc, b)
     if not mor.is_bialgebra_map:
         raise InvariantViolation("restricted p_B is not a bialgebra map")
-    return HopfResult(cc, s, mor, "sub")
+    return HopfResult(cc, s, mor, box)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialgebra import Bialgebra, verify_axioms
-from .canonical import S_witness, T_witness, build_boxslash, build_oslash, frobenius_report
+from .canonical import S_witness, T_witness, frobenius_report
+# not called here: perfbench's tracer test reads ``corpus.build_oslash`` to
+# check that wrappers on from-imported names are removed again
+from .canonical import build_oslash  # noqa: F401
 from .cofree import cofree_hopf, duality_check, iterate_K
 from .convolution import (
     central_n_antipode,
@@ -207,11 +210,10 @@ def check_fixture(fx: CorpusFixture) -> dict:
     """Run the full invariant battery on one fixture."""
     b = fx.bialgebra
     f = b.field
-    osl = build_oslash(b)
-    box = build_boxslash(b)
-    env = hopf_envelope(b, osl)
-    cof = cofree_hopf(b, box)
-    fro = frobenius_report(b, osl, box)
+    env = hopf_envelope(b)
+    cof = cofree_hopf(b)
+    osl, box = env.space, cof.space
+    fro = frobenius_report(osl, box)
     left = minimal_left_n_antipode(b)
     right = minimal_right_n_antipode(b)
     central = central_n_antipode(b)
@@ -224,9 +226,9 @@ def check_fixture(fx: CorpusFixture) -> dict:
         "cofree_hopf": _hopf_output_ok(cof),
         "iterate_q_one_step": iterate_Q(b)[1] <= 1,
         "iterate_k_one_step": iterate_K(b)[1] <= 1,
-        "oslash_iso": oslash_iso_check(b, osl, env),
-        "s_residuals": _s_residuals_in_ker_i(b, osl, S_witness(b, osl)),
-        "t_identities": _t_identities_on_im_p(b, box, T_witness(b, box)),
+        "oslash_iso": oslash_iso_check(env),
+        "s_residuals": _s_residuals_in_ker_i(b, osl, S_witness(osl)),
+        "t_identities": _t_identities_on_im_p(b, box, T_witness(box)),
         "duality": duality_check(b).ok,
         "n_index_agreement": left.n == right.n == central.n,
         "central_identity": central.check(b),

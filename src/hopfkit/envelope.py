@@ -20,7 +20,7 @@ from .bialgebra import (
     ideal_closure,
     quotient_by_biideal,
 )
-from .canonical import OslashSpace, S_witness, build_oslash
+from .canonical import BoxslashSpace, OslashSpace, S_witness, build_oslash
 from .convolution import conv_hom, conv_inverse
 from .errors import InvariantViolation, PreconditionError
 from .linalg import all_pairs, is_zero_matrix, kron, matmul, rank, swap_permutation
@@ -31,34 +31,34 @@ class HopfResult:
     hopf: Bialgebra
     antipode: np.ndarray
     structure_map: BialgebraMorphism
-    direction: str  # "quotient" for envelopes, "sub" for cofree
+    space: OslashSpace | BoxslashSpace  # B (/) B of an envelope, B (#) B of a cofree
 
 
-def Q_of(b: Bialgebra, osl: OslashSpace | None = None):
-    """Quotient of B by ker(i_B), which must already be a bi-ideal.
+def Q_of(osl: OslashSpace):
+    """Quotient of B = osl.source by ker(i_B), which must already be a bi-ideal.
 
     The left and two-sided ideal closures of ker(i_B) are compared with
     the kernel itself; in finite dimension a mismatch contradicts the
     theory, hence InvariantViolation.
     """
-    osl = osl or build_oslash(b)
+    b = osl.source
     k = osl.ker_i
     if ideal_closure(b, k, "left") != k or ideal_closure(b, k, "two_sided") != k:
         raise InvariantViolation("ker(i_B) is not a two-sided ideal in finite dimension")
     return quotient_by_biideal(b, k)
 
 
-def hopf_envelope(b: Bialgebra, osl: OslashSpace | None = None) -> HopfResult:
-    """Q(B) with its antipode and the verified projection q_B."""
+def hopf_envelope(b: Bialgebra) -> HopfResult:
+    """Q(B) with its antipode, the verified projection q_B and B (/) B."""
     f = b.field
-    osl = osl or build_oslash(b)
-    quo, qmor = Q_of(b, osl)
+    osl = build_oslash(b)
+    quo, qmor = Q_of(osl)
     antipode = conv_inverse(quo, f.eye(quo.dim), "two_sided")
     if antipode is None:
         raise InvariantViolation("envelope quotient admits no antipode")
     uq_eps = matmul(f, quo.unit_col, b.counit_row)
     qmat = qmor.matrix
-    sw = S_witness(b, osl)
+    sw = S_witness(osl)
     right = conv_hom(b, quo, qmat, matmul(f, qmat, sw))
     if not f.equal(right, uq_eps):
         raise InvariantViolation("q_B * (q_B o S) is not the convolution unit")
@@ -66,12 +66,13 @@ def hopf_envelope(b: Bialgebra, osl: OslashSpace | None = None) -> HopfResult:
     left = conv_hom(b, quo, matmul(f, antipode, qmat), qmat)
     if not f.equal(left, uq_eps):
         raise InvariantViolation("(S o q_B) * q_B is not the convolution unit")
-    return HopfResult(quo, antipode, qmor, "quotient")
+    return HopfResult(quo, antipode, qmor, osl)
 
 
-def _oslash_iso(b: Bialgebra, osl: OslashSpace, env: HopfResult):
+def _oslash_iso(env: HopfResult):
     """The map class(x (x) y) |-> q(x) S(q(y)) and its validity flags."""
-    f = b.field
+    osl = env.space
+    f = osl.source.field
     h = env.hopf
     qmat = env.structure_map.matrix
     sq = matmul(f, env.antipode, qmat)
@@ -85,13 +86,10 @@ def _oslash_iso(b: Bialgebra, osl: OslashSpace, env: HopfResult):
     return phi, well_defined, bijective, coalg
 
 
-def oslash_iso_check(
-    b: Bialgebra, osl: OslashSpace | None = None, env: HopfResult | None = None
-) -> bool:
-    """True iff x/y |-> q(x) S(q(y)) is a well-defined coalgebra isomorphism."""
-    osl = osl or build_oslash(b)
-    env = env or hopf_envelope(b, osl)
-    _, well_defined, bijective, coalg = _oslash_iso(b, osl, env)
+def oslash_iso_check(env: HopfResult) -> bool:
+    """True iff x/y |-> q(x) S(q(y)) is a well-defined coalgebra isomorphism
+    from env.space = B (/) B onto the envelope."""
+    _, well_defined, bijective, coalg = _oslash_iso(env)
     return well_defined and bijective and coalg
 
 
@@ -100,14 +98,14 @@ def cocommutative_envelope_check(b: Bialgebra) -> bool:
     if not b.is_cocommutative():
         raise PreconditionError("cocommutative_envelope_check needs a cocommutative input")
     f = b.field
-    osl = build_oslash(b)
-    env = hopf_envelope(b, osl)
+    env = hopf_envelope(b)
+    osl = env.space
     tau = swap_permutation(b.dim, b.dim)
     proj_tau = osl.proj[:, tau]
     if not is_zero_matrix(matmul(f, proj_tau, osl.relations.basis.T)):
         return False  # flip does not descend: contradicts cocommutativity
     flip_q = matmul(f, proj_tau, osl.reps)
-    phi, well_defined, bijective, coalg = _oslash_iso(b, osl, env)
+    phi, well_defined, bijective, coalg = _oslash_iso(env)
     if not (well_defined and bijective and coalg):
         return False
     lhs = matmul(f, phi, flip_q)
@@ -123,7 +121,7 @@ def iterate_Q(b: Bialgebra):
         osl = build_oslash(cur)
         if osl.ker_i.dim == 0:
             break
-        cur, _ = Q_of(cur, osl)
+        cur, _ = Q_of(osl)
         steps += 1
         if steps > b.dim:
             raise InvariantViolation("iterate_Q failed to terminate within dim steps")

@@ -137,23 +137,19 @@ class Subspace:
         )
 
     def reduce(self, v):
-        """Residual of v after eliminating the pivot coordinates; 0 iff v is a member."""
-        out = self.field.zeros(self.ambient)
-        out[...] = v
-        for t, c in enumerate(self.pivots):
-            if out[c] != 0:
-                out = self.field.submul(out, out[c], self.basis[t])
-        return out
+        """Residual v - basis^T v[pivots] of a vector or of each column of a
+        matrix: the basis is in rref, so it clears the pivot coordinates,
+        and it is 0 iff v is a member."""
+        f = self.field
+        v = np.asarray(v)
+        return f.sub(v, matmul(f, self.basis.T, v[list(self.pivots)]))
 
     def contains(self, v) -> bool:
         return is_zero_matrix(self.reduce(v))
 
     def first_outside(self, m):
-        """Index of the first column of the matrix ``m`` outside the
-        subspace, or None.  In rref, v is a member iff v = basis^T v[pivots]."""
-        f = self.field
-        residual = f.sub(m, matmul(f, self.basis.T, m[list(self.pivots)]))
-        bad = np.flatnonzero(np.any(residual != 0, axis=0))
+        """Index of the first column of the matrix ``m`` outside the subspace, or None."""
+        bad = np.flatnonzero(np.any(self.reduce(m) != 0, axis=0))
         return int(bad[0]) if bad.size else None
 
     def coordinates(self, v):

@@ -3,7 +3,7 @@ built once per session because every pipeline stage is deterministic."""
 
 import pytest
 
-from hopfkit.canonical import build_boxslash, build_oslash
+from hopfkit.canonical import build_boxslash
 from hopfkit.envelope import hopf_envelope
 from hopfkit.families import quotient_quantum_plane
 from hopfkit.fields import QQ
@@ -16,8 +16,8 @@ def qqp():
 
 
 @pytest.fixture(scope="session")
-def qqp_oslash(qqp):
-    return build_oslash(qqp)
+def qqp_oslash(qqp_envelope):
+    return qqp_envelope.space
 
 
 @pytest.fixture(scope="session")
@@ -26,8 +26,8 @@ def qqp_boxslash(qqp):
 
 
 @pytest.fixture(scope="session")
-def qqp_envelope(qqp, qqp_oslash):
-    return hopf_envelope(qqp, qqp_oslash)
+def qqp_envelope(qqp):
+    return hopf_envelope(qqp)
 
 
 @pytest.fixture(scope="session")

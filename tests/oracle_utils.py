@@ -2,14 +2,16 @@
 
 These deliberately avoid the library's linear algebra: ranks come from
 exhaustive minor expansion, spans from enumerating every coefficient
-combination over a small prime field.  The subspace helpers at the end
-are the exception: bounded searches and comparisons built on
-:mod:`hopfkit.linalg`, needed only by tests.
+combination over a small prime field.  The helpers at the end
+are the exception: bounded searches, comparisons and small operations
+built on :mod:`hopfkit.linalg`, needed only by tests.
 """
 
 from itertools import combinations, permutations, product
 
-from hopfkit.linalg import Subspace, kron, subspace_from_rows
+import numpy as np
+
+from hopfkit.linalg import Subspace, kron, matmul, solve_matrix, subspace_from_rows
 
 
 def all_vectors(p, d):
@@ -216,3 +218,33 @@ def basis_aligned_sub_coalgebras(b):
             if _spans_sub_coalgebra(b, idx, span):
                 out.append(span)
     return out
+
+
+def loop_reduce(u, v):
+    """Residual of the vector v after eliminating u's pivot coordinates one
+    pivot at a time: the reference for ``Subspace.reduce``."""
+    out = u.field.zeros(u.ambient)
+    out[...] = v
+    for t, c in enumerate(u.pivots):
+        if out[c] != 0:
+            out = u.field.submul(out, out[c], u.basis[t])
+    return out
+
+
+def is_commutative(b):
+    return bool(np.all(b.mult == b.mult.transpose(1, 0, 2)))
+
+
+def oslash_act(osl, ab_vec, class_vec):
+    """Left action of B (x) B on B (/) B: (a (x) b).(x/y) = ax/by."""
+    b = osl.source
+    rep = matmul(b.field, osl.reps, class_vec)
+    return matmul(b.field, osl.proj, b.prod2(ab_vec, rep))
+
+
+def reference_right_antipode(osl):
+    """S^r(y) = i_B^{-1}(class(1 (x) y)) by one direct solve, for bijective i_B."""
+    b = osl.source
+    f = b.field
+    emb2 = kron(f, b.unit_col, f.eye(b.dim))
+    return solve_matrix(f, osl.i_matrix, matmul(f, osl.proj, emb2))

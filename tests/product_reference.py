@@ -166,6 +166,22 @@ def reference_is_coideal(b, v):
     return all(mixed.contains(b.delta(v.basis[t])) for t in range(v.dim))
 
 
+def reference_quotient_comult(b, ideal):
+    """Comultiplication of B / ideal: proj (x) proj applied to Delta(e_c) for
+    each complement coordinate c, one nonzero of Delta(e_c) at a time."""
+    f = b.field
+    proj, _, comp = ideal.quotient_maps()
+    q = len(comp)
+    comult = f.zeros((q, q, q))
+    for t in range(q):
+        dk = b.comult[comp[t]]
+        acc = f.zeros((q, q))
+        for i, j in zip(*np.nonzero(dk != 0)):
+            acc = f.addmul(acc, dk[i, j], f.mul(proj[:, i, None], proj[None, :, j]))
+        comult[t] = acc
+    return comult
+
+
 def reference_quotient_by_biideal(b, ideal):
     """The quotient bialgebra and projection, one product per basis pair."""
     if reference_ideal_closure(b, ideal) != ideal:
@@ -179,13 +195,7 @@ def reference_quotient_by_biideal(b, ideal):
     for s in range(q):
         for t in range(q):
             mult[s, t] = matmul(f, proj, b.mult[comp[s], comp[t]])
-    comult = f.zeros((q, q, q))
-    for t in range(q):
-        dk = b.comult[comp[t]]
-        acc = f.zeros((q, q))
-        for i, j in zip(*np.nonzero(dk != 0)):
-            acc = f.addmul(acc, dk[i, j], f.mul(proj[:, i, None], proj[None, :, j]))
-        comult[t] = acc
+    comult = reference_quotient_comult(b, ideal)
     unit = matmul(f, proj, b.unit)
     counit = b.counit[list(comp)].copy()
     labels = tuple(b.labels[c] for c in comp)

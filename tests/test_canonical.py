@@ -17,6 +17,8 @@ from hopfkit.canonical import (
     frobenius_report,
 )
 from hopfkit.convolution import central_n_antipode
+from hopfkit.corpus import named_fixtures
+from hopfkit.errors import PreconditionError
 from hopfkit.families import (
     matrix_coalgebra,
     quotient_quantum_plane,
@@ -41,7 +43,7 @@ from hopfkit.monoid import (
 )
 
 from axiom_reference import identical
-from oracle_utils import all_vectors, matvec_mod
+from oracle_utils import all_vectors, matvec_mod, oslash_act, reference_right_antipode
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -78,7 +80,7 @@ def test_oslash_action_descends(qqp, qqp_oslash):
     osl = qqp_oslash
     ab = kron(QQ, qqp.basis_vector(1), qqp.basis_vector(0))  # x (x) 1
     cls = matmul(QQ, osl.proj, kron(QQ, qqp.basis_vector(0), qqp.basis_vector(3)))
-    acted = osl.act(ab, cls)
+    acted = oslash_act(osl, ab, cls)
     direct = matmul(QQ, osl.proj, kron(QQ, qqp.basis_vector(1), qqp.basis_vector(3)))
     assert np.array_equal(acted, direct)
 
@@ -133,14 +135,14 @@ def test_boxslash_kernel_vs_enumeration_small_fields():
 
 
 def test_s_witness_identity(qqp, qqp_oslash, kc2):
-    s = S_witness(qqp, qqp_oslash)
+    s = S_witness(qqp_oslash)
     emb2 = kron(QQ, qqp.unit_col, QQ.eye(6))
     assert np.array_equal(
         matmul(QQ, qqp_oslash.i_matrix, s), matmul(QQ, qqp_oslash.proj, emb2)
     )
     # on a Hopf algebra the antipode satisfies the same identity
     osl2 = build_oslash(kc2)
-    s2 = S_witness(kc2, osl2)
+    s2 = S_witness(osl2)
     emb = kron(QQ, kc2.unit_col, QQ.eye(2))
     assert np.array_equal(matmul(QQ, osl2.i_matrix, s2), matmul(QQ, osl2.proj, emb))
     assert np.array_equal(matmul(QQ, osl2.i_matrix, QQ.eye(2)), matmul(QQ, osl2.proj, emb))
@@ -157,13 +159,13 @@ def test_central_antipode_is_alternative_s_witness(km23):
 
 
 def test_t_witness_identity(qqp, qqp_boxslash, kc2):
-    t = T_witness(qqp, qqp_boxslash)
+    t = T_witness(qqp_boxslash)
     pleft = kron(QQ, qqp.counit_row, QQ.eye(6))
     lhs = matmul(QQ, t, qqp_boxslash.p_matrix)
     rhs = matmul(QQ, pleft, qqp_boxslash.include)
     assert np.array_equal(lhs, rhs)
     box2 = build_boxslash(kc2)
-    t2 = T_witness(kc2, box2)
+    t2 = T_witness(box2)
     # on kC2 the antipode g |-> g works: the identity is satisfied by t2
     lhs2 = matmul(QQ, t2, box2.p_matrix)
     rhs2 = matmul(QQ, kron(QQ, kc2.counit_row, QQ.eye(2)), box2.include)
@@ -173,18 +175,18 @@ def test_t_witness_identity(qqp, qqp_boxslash, kc2):
 def test_t_witness_maps_left_units_to_right_inverses():
     b3 = monoid_bialgebra(cyclic_group(3), QQ)
     box = build_boxslash(b3)
-    t = T_witness(b3, box)
+    t = T_witness(box)
     # T(g) = g^{-1} on the span of left units (all of kC3 here)
     assert np.array_equal(t[:, 1], b3.basis_vector(2))
     assert np.array_equal(t[:, 2], b3.basis_vector(1))
 
 
-def test_frobenius_reports(qqp, kc2):
-    rep = frobenius_report(kc2)
+def test_frobenius_reports(qqp_oslash, qqp_boxslash, kc2):
+    rep = frobenius_report(build_oslash(kc2), build_boxslash(kc2))
     assert rep.i_bijective and rep.p_bijective and rep.consistent
     assert np.array_equal(rep.right_antipode, QQ.eye(2))  # g |-> g^{-1} = g
     assert rep.anti_algebra and rep.anti_coalgebra
-    rep2 = frobenius_report(qqp)
+    rep2 = frobenius_report(qqp_oslash, qqp_boxslash)
     assert not rep2.i_bijective and not rep2.p_bijective
     assert rep2.right_antipode is None and rep2.consistent
     # <x | x^2 = x>: i surjective not injective, p injective not surjective
@@ -192,7 +194,27 @@ def test_frobenius_reports(qqp, kc2):
     osl, box = build_oslash(b), build_boxslash(b)
     assert osl.surjective and not osl.injective
     assert box.injective and not box.surjective
-    assert frobenius_report(b, osl, box).consistent
+    assert frobenius_report(osl, box).consistent
+
+
+NAMED = [(fx.name, fx.bialgebra) for fx in named_fixtures()]
+NAMED += [(f"dual({name})", dual_bialgebra(b)) for name, b in NAMED]
+
+
+@pytest.mark.parametrize("name, b", NAMED, ids=[name for name, _ in NAMED])
+def test_right_antipode_is_the_direct_solve(name, b):
+    # where i_B is bijective, the section witness is the unique preimage
+    osl, box = build_oslash(b), build_boxslash(b)
+    rep = frobenius_report(osl, box)
+    if rep.i_bijective:
+        assert identical(rep.right_antipode, reference_right_antipode(osl))
+    else:
+        assert rep.right_antipode is None
+
+
+def test_frobenius_report_needs_spaces_of_one_bialgebra(kc2, qqp_oslash):
+    with pytest.raises(PreconditionError):
+        frobenius_report(qqp_oslash, build_boxslash(kc2))
 
 
 def test_can_map_implications(qqp, kc2):

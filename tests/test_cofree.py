@@ -36,19 +36,19 @@ from oracle_utils import (
 
 
 def test_k_of_hopf_input_is_everything(kc2):
-    sub, incl = K_of(kc2)
+    sub, incl = K_of(build_boxslash(kc2))
     assert sub.dim == 2
     assert np.array_equal(incl.matrix, QQ.eye(2))
 
 
 def test_k_of_periodic_monoid_is_ground_field(km23):
-    sub, incl = K_of(km23)
+    sub, incl = K_of(build_boxslash(km23))
     assert sub.dim == 1
     assert image(QQ, incl.matrix) == subspace_from_rows(QQ, 5, [km23.unit.copy()])
 
 
-def test_k_of_quantum_plane(qqp):
-    sub, _ = K_of(qqp)
+def test_k_of_quantum_plane(qqp_boxslash):
+    sub, _ = K_of(qqp_boxslash)
     assert sub.dim == 1
 
 
@@ -168,7 +168,7 @@ def test_k_contains_every_sub_coalgebra_of_im_p(qqp, km23):
 def test_inclusion_two_sided_convolution_invertible(km23, qqp):
     # k_B has a left convolution inverse as well (two-sided invertibility)
     for b in (km23, qqp, radford_dual(2, QQ)):
-        sub, kmor = K_of(b)
+        sub, kmor = K_of(build_boxslash(b))
         f = b.field
         kmat = kmor.matrix
         d, kdim = b.dim, sub.dim

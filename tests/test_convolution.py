@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import hopfkit.cli
 from hopfkit import convolution
 from hopfkit.bialgebra import dual_bialgebra
-from hopfkit.canonical import frobenius_report
+from hopfkit.canonical import build_boxslash, build_oslash, frobenius_report
 from hopfkit.convolution import (
     antipode_shape_check,
     central_n_antipode,
@@ -217,7 +217,7 @@ def test_invertible_id_matches_frobenius(kc2):
     # conv inverse of Id exists iff n = 0 iff the Frobenius booleans hold
     assert conv_inverse(kc2, QQ.eye(2)) is not None
     assert minimal_left_n_antipode(kc2).n == 0
-    rep = frobenius_report(kc2)
+    rep = frobenius_report(build_oslash(kc2), build_boxslash(kc2))
     assert rep.i_bijective and rep.p_bijective and rep.consistent
 
 

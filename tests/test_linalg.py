@@ -16,7 +16,15 @@ from hopfkit import linalg as la
 from hopfkit.errors import DimensionError, FieldMismatchError
 from hopfkit.fields import QQ, PrimeField, parse_field
 
-from oracle_utils import all_vectors, full_subspace, matvec_mod, minor_rank, span_set
+from axiom_reference import identical
+from oracle_utils import (
+    all_vectors,
+    full_subspace,
+    loop_reduce,
+    matvec_mod,
+    minor_rank,
+    span_set,
+)
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -287,6 +295,29 @@ def test_first_outside_is_the_first_column_contains_rejects(data):
     for c in range(len(cols)):
         if c not in outside:
             assert np.array_equal(m[list(u.pivots), c], u.coordinates(m[:, c]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_reduce_matches_the_per_pivot_loop(data):
+    # v - basis^T v[pivots] on a vector and on each column of a matrix
+    field = data.draw(st.sampled_from([QQ, F3, PrimeField((1 << 61) - 1)]), label="field")
+    n = data.draw(st.integers(1, 6))
+    entries = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    if data.draw(st.booleans(), label="zero subspace"):
+        u = la.zero_subspace(field, n)
+    else:
+        rows = data.draw(st.lists(entries, max_size=n + 1))
+        u = la.subspace_from_rows(field, n, [field.array(r) for r in rows])
+    v = field.array(data.draw(entries))
+    got = u.reduce(v)
+    assert identical(got, loop_reduce(u, v))
+    assert u.contains(v) == (u.first_outside(v.reshape(n, 1)) is None)
+    m = field.array(data.draw(st.lists(entries, min_size=1, max_size=4))).T.copy()
+    got = u.reduce(m)
+    assert got.shape == m.shape and got.dtype == m.dtype
+    for c in range(m.shape[1]):
+        assert identical(got[:, c].copy(), loop_reduce(u, m[:, c]))
 
 
 def test_all_pairs_is_the_loop_order():

@@ -32,7 +32,13 @@ from hopfkit.canonical import (
 )
 from hopfkit.corpus import named_fixtures, random_monoid
 from hopfkit.errors import PreconditionError
-from hopfkit.families import radford_dual, sweedler_h4
+from hopfkit.families import (
+    matrix_coalgebra,
+    quotient_quantum_plane,
+    radford_adjoin_unit,
+    radford_dual,
+    sweedler_h4,
+)
 from hopfkit.fields import QQ, PrimeField
 from hopfkit.linalg import all_pairs, subspace_from_rows, zero_subspace
 from hopfkit.monoid import cyclic_group, monoid_bialgebra
@@ -47,6 +53,7 @@ from product_reference import (
     reference_prod,
     reference_prod_columns,
     reference_quotient_by_biideal,
+    reference_quotient_comult,
     reference_sub_bialgebra,
     reference_tensor_prod,
     reference_tensor_prod_columns,
@@ -200,6 +207,28 @@ def test_quotients_match_reference_loops(name, b):
     for ideal in ideals:
         got = _outcome(quotient_by_biideal, b, ideal)
         assert _same_result(got, _outcome(reference_quotient_by_biideal, b, ideal))
+
+
+def _named_over(f):
+    """The constructions of the named corpus fixtures over f, and their duals."""
+    out = [
+        ("quotient_quantum_plane", quotient_quantum_plane(f)),
+        ("sweedler_h4", sweedler_h4(f)),
+        ("dual_radford_2", radford_dual(2, f)),
+        ("dual_radford_3", radford_dual(3, f)),
+        ("radford_unit_matrix2", radford_adjoin_unit(*matrix_coalgebra(2, f), field=f)),
+    ]
+    monoids = {fx.name.split("/")[0]: fx.monoid for fx in named_fixtures() if fx.monoid}
+    out += [(name, monoid_bialgebra(m, f)) for name, m in monoids.items()]
+    return out + [(f"dual({name})", dual_bialgebra(b)) for name, b in out]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField((1 << 61) - 1)], ids=str)
+def test_quotient_comult_matches_reference_loop_on_ker_i(field):
+    for name, b in _named_over(field):
+        ker_i = build_oslash(b).ker_i
+        quo, _ = quotient_by_biideal(b, ker_i)
+        assert identical(quo.comult, reference_quotient_comult(b, ker_i)), name
 
 
 @pytest.mark.parametrize("name, b", SMALL, ids=SMALL_IDS)

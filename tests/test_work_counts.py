@@ -1,18 +1,22 @@
-"""Exact work counts: each construction makes one batched product call.
+"""Exact work counts: each construction makes one batched product call,
+and each pipeline builds each space it refines once.
 
 A product or membership loop that goes back to one call per vector or
 per pair of vectors shows up here as a larger count, without timing
 noise.  The counts are of calls of ``Bialgebra.prod``, ``prod2`` and
-``prod2op``, and of ``conv`` and ``conv_operator`` in the n-antipode
-searches.
+``prod2op``, of ``conv`` and ``conv_operator`` in the n-antipode
+searches, and of ``build_oslash``/``build_boxslash`` in the pipelines,
+the CLI and the corpus battery.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hopfkit import convolution
+import hopfkit
+from hopfkit import canonical, cli, cofree, convolution, corpus, envelope
 from hopfkit.bialgebra import Bialgebra, sub_bialgebra, tensor_bialgebra
 from hopfkit.canonical import build_boxslash
 from hopfkit.cofree import cofree_hopf
@@ -91,3 +95,48 @@ def test_n_antipode_search_makes_two_operators(convolution_calls, i, p):
     convolution_calls.clear()
     convolution.conv_operator(b, powers[1], "right")
     assert convolution_calls == {"conv_operator": 1}
+
+
+@pytest.fixture
+def space_builds(monkeypatch):
+    """Counts B (/) B and B (#) B builds wherever a pipeline binds the builders."""
+    calls = Counter()
+    for name in ("build_oslash", "build_boxslash"):
+        def counted(b, _name=name, _build=getattr(canonical, name)):
+            calls[_name] += 1
+            return _build(b)
+        for module in (canonical, envelope, cofree, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_envelope_and_cofree_build_their_space_once(space_builds):
+    b = monoid_bialgebra(monogenic(2, 3), F3)
+    env = hopf_envelope(b)
+    assert space_builds == {"build_oslash": 1}
+    assert env.space.source is b and env.space.ker_i.dim == 2
+    space_builds.clear()
+    cof = cofree_hopf(b)
+    assert space_builds == {"build_boxslash": 1}
+    assert cof.space.source is b and cof.space.dim == cof.hopf.dim
+
+
+@pytest.mark.parametrize("command, builds", [
+    ("envelope", {"build_oslash": 1}),
+    ("cofree", {"build_boxslash": 1}),
+    ("frobenius", {"build_oslash": 1, "build_boxslash": 1}),
+])
+def test_cli_commands_build_each_space_once(space_builds, capsys, command, builds):
+    path = Path(hopfkit.__file__).parent / "fixtures" / "monoid_monogenic_2_3.json"
+    assert cli.main([command, str(path), "--field", "F3"]) == 0
+    assert space_builds == builds
+
+
+def test_check_fixture_builds(space_builds):
+    # H(B), C(B), iterate_Q and iterate_K (two steps each, as ker(i_B) != 0
+    # and im(p_B) != B) and the duality check's H(B) and C(B*)
+    m = monogenic(2, 3)
+    fx = corpus.CorpusFixture("monogenic_2_3/F3", monoid_bialgebra(m, F3), m)
+    assert corpus.check_fixture(fx)["ok"]
+    assert space_builds == {"build_oslash": 4, "build_boxslash": 4}
