@@ -135,9 +135,12 @@ class Bialgebra:
         cu, su = (u.T != 0).nonzero()  # column by column, rows ascending
         cv, tv = (v.T != 0).nonzero()
         nu, nv = np.bincount(cu, minlength=n), np.bincount(cv, minlength=n)
+        pairs = nu * nv
+        if not pairs.any():
+            return out
         v_start = nv.cumsum() - nv
         fan = int(self.mult_nonzeros[1].max()) ** legs  # terms per pair, at most
-        for c0, c1 in column_blocks(nu * nv * fan + rows):
+        for c0, c1 in column_blocks(pairs * fan + rows):
             # every pair of nonzeros sharing a column of the block
             lo, hi = cu.searchsorted((c0, c1))
             pair, offset = _runs(nv[cu[lo:hi]])
@@ -184,6 +187,8 @@ def _runs(counts):
 def column_blocks(weight):
     """``(start, stop)`` runs of columns, each of total weight below
     ``_TERM_BLOCK`` plus the weight of its last column."""
+    if weight.sum() < _TERM_BLOCK:
+        return ((0, len(weight)),)
     block = (weight.cumsum() - weight) // _TERM_BLOCK
     edges = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1), len(weight)]
     return zip(edges, edges[1:])

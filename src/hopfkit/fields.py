@@ -15,7 +15,15 @@ reduce external data, and the elementwise operations (``add``, ``sub``,
 ``matmul``, ``kron`` and ``scatter_sum`` return reduced values from
 reduced operands, so no caller ever reduces by hand and ``equal`` can
 compare entrywise.
-Over Q the same operations are plain arithmetic.
+
+Over Q the elementwise operations are plain ``Fraction`` arithmetic, and
+``matmul`` is one integer product, as FLINT's ``fmpq_mat`` goes through
+``fmpz_mat``: each row of the left factor and each column of the right
+one is scaled by the lcm of its denominators, the integer matrices are
+multiplied, and entry (i, j) is divided back by both scales.  The
+product runs in int64 when max|a| max|b| n < 2**63 for inner dimension
+n, a bound checked before the product, since an int64 product wraps
+silently; otherwise it runs over Python ints.  Entries stay ``Fraction``.
 """
 
 from __future__ import annotations
@@ -145,7 +153,36 @@ class RationalField(Field):
         return str(num) if den == 1 else f"{num}/{den}"
 
     def matmul(self, a, b):
-        return np.dot(a, b)
+        """``np.dot(a, b)`` of Fraction matrices or vectors, by one integer product."""
+        a, b = np.asarray(a), np.asarray(b)
+        if (
+            a.dtype != object or b.dtype != object
+            or not (1 <= a.ndim <= 2 and 1 <= b.ndim <= 2)
+            or a.shape[-1] != b.shape[0] or b.shape[0] == 0
+        ):
+            # np.dot keeps its own entry types and errors; over an empty
+            # inner dimension its zeros are ints
+            return np.dot(a, b)
+        a2, b2 = np.atleast_2d(a), b if b.ndim == 2 else b[:, None]
+        left, right = _cleared(a2), _cleared(b2.T)
+        if left is None or right is None:
+            return np.dot(a, b)
+        (za, sa, ma), (zb, sb, mb) = left, right
+        # at least 1 each, so that both factors also fit int64 when one is 0
+        if max(ma, 1) * max(mb, 1) * b.shape[0] < _INT64_BOUND:
+            prod = za.astype(np.int64) @ zb.astype(np.int64).T
+        else:
+            prod = np.dot(za, zb.T)
+        rows, cols = np.nonzero(prod)
+        values = prod[rows, cols].tolist()
+        out = np.full(prod.shape, self.zero, dtype=object)
+        if sa is None and sb is None:
+            out[rows, cols] = list(map(Fraction, values))
+        else:
+            scales = ((1 if sa is None else sa[rows]) * (1 if sb is None else sb[cols])).tolist()
+            out[rows, cols] = [Fraction(v, s) for v, s in zip(values, scales)]
+        out = out.reshape(a.shape[:-1] + b.shape[1:])
+        return out[()] if out.ndim == 0 else out
 
     def kron(self, a, b):
         return np.kron(a, b)
@@ -169,6 +206,30 @@ class RationalField(Field):
     def submul(self, acc, c, x):
         """acc - c*x."""
         return acc - c * x
+
+
+#: int64 products of integer matrices are exact while max|a| max|b| n stays below
+_INT64_BOUND = 1 << 63
+
+
+def _cleared(x):
+    """``(z, scale, top)`` for a 2-D object array ``x`` of Fractions: the
+    integer matrix z = scale[:, None] * x, where scale[i] is the lcm of the
+    denominators of row i (``None`` when they are all 1), and top = max|z|.
+    ``None`` when an entry is not a Fraction."""
+    flat = x.ravel().tolist()
+    if set(map(type, flat)) - {Fraction}:
+        return None
+    num = [q.numerator for q in flat]
+    den = [q.denominator for q in flat]
+    z = np.array(num, dtype=object).reshape(x.shape)
+    scale = None
+    if max(den, default=1) > 1:
+        den = np.array(den, dtype=object).reshape(x.shape)
+        scale = np.lcm.reduce(den, axis=1)
+        z = z * (scale[:, None] // den)
+        num = z.ravel().tolist()
+    return z, scale, max(map(abs, num), default=0)
 
 
 class PrimeField(Field):

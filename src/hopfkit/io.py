@@ -46,7 +46,11 @@ MONOID_SCHEMA = "hopfkit.monoid/1"
 #: the B (#) B map gamma, d**3 x d**2: at d = 32 about 33.5M entries of
 #: 8 bytes (int64, or a pointer to a shared zero or a Fraction over Q),
 #: 268 MB, held twice while row reducing.  Envelope and cofree of a
-#: dim-32 monoid bialgebra over F3 peak at 557 MB RSS.
+#: dim-32 monoid bialgebra over F3 peak at 557 MB RSS.  Over Q, where
+#: products are integer products of cleared-denominator matrices,
+#: ``verify_axioms`` on a dim-32 monoid bialgebra takes 9 s at 220 MB RSS,
+#: mostly ``Fraction`` subtraction of the d**4-entry residuals (415 s with
+#: ``Fraction`` dot products).
 MAX_DIM = 32
 
 #: Bound on |num| and |den| of a rational entry.  Reports print exact

@@ -77,6 +77,9 @@ def rref(f: Field, a):
 
 
 def _rref_object(f: Field, a):
+    """``rref`` of an object array (Q, or GF(p) with p >= 2**31), by the
+    rule of ``_kernels.rref_mod``: each step updates only the rows with a
+    nonzero in the pivot column, and only the columns from the pivot on."""
     r = f.zeros(a.shape)
     r[...] = a
     m, n = r.shape
@@ -85,19 +88,18 @@ def _rref_object(f: Field, a):
     for col in range(n):
         if row >= m:
             break
-        piv = -1
-        for i in range(row, m):
-            if r[i, col] != 0:
-                piv = i
-                break
-        if piv < 0:
+        hits = np.flatnonzero(r[row:, col] != 0)
+        if hits.size == 0:
             continue
+        piv = row + int(hits[0])
         if piv != row:
             r[[row, piv]] = r[[piv, row]]
-        r[row] = f.mul(r[row], f.inv(r[row, col]))
-        for i in range(m):
-            if i != row and r[i, col] != 0:
-                r[i] = f.submul(r[i], r[i, col], r[row])
+        # rows at and below ``row`` are zero left of ``col``
+        r[row, col:] = f.mul(r[row, col:], f.inv(r[row, col]))
+        rows = np.flatnonzero(r[:, col] != 0)
+        rows = rows[rows != row]
+        if rows.size:
+            r[rows, col:] = f.submul(r[rows, col:], r[rows, col, None], r[row, col:])
         pivots.append(col)
         row += 1
     return r, tuple(pivots)

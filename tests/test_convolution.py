@@ -21,6 +21,7 @@ from hopfkit.convolution import (
     antipode_shape_check,
     central_n_antipode,
     conv,
+    conv_hom,
     conv_inverse,
     conv_operator,
     conv_power,
@@ -41,6 +42,7 @@ from hopfkit.fields import QQ, PrimeField
 from hopfkit.monoid import cyclic_group, monogenic, monoid_bialgebra
 
 from axiom_reference import identical
+from lane_reference import reference_conv_hom
 from nantipode_reference import (
     reference_central,
     reference_conv_operator,
@@ -251,6 +253,42 @@ def test_n_antipodes_match_reference_search(name, b):
 def test_n_antipodes_of_random_monoids_match_reference_search(seed, field, dual):
     b = monoid_bialgebra(random_monoid(random.Random(seed), max_size=4), field)
     _assert_searches_match_reference(dual_bialgebra(b) if dual else b)
+
+
+def _named_constructions(field):
+    """Each construction of the named fixtures once, over ``field``."""
+    out = [
+        ("quotient_quantum_plane", quotient_quantum_plane(field)),
+        ("sweedler_h4", sweedler_h4(field)),
+        ("dual_radford_2", radford_dual(2, field)),
+        ("dual_radford_3", radford_dual(3, field)),
+        ("radford_unit_matrix2", radford_adjoin_unit(*matrix_coalgebra(2, field), field=field)),
+    ]
+    monoids = {fx.name.split("/")[0]: fx.monoid for fx in named_fixtures() if fx.monoid}
+    return out + [(name, monoid_bialgebra(m, field)) for name, m in monoids.items()]
+
+
+#: the named fixtures and their duals as shipped, and rebuilt over Q, F3
+#: and F_(2^61-1)
+CONV_HOM_INPUTS = NAMED + [
+    (f"{kind}/{field}", b)
+    for field in (QQ, PrimeField(3), PrimeField((1 << 61) - 1))
+    for name, a in _named_constructions(field)
+    for kind, b in ((name, a), (f"dual({name})", dual_bialgebra(a)))
+]
+
+
+@pytest.mark.parametrize("name, b", CONV_HOM_INPUTS, ids=[name for name, _ in CONV_HOM_INPUTS])
+def test_conv_hom_matches_the_kronecker_form(name, b):
+    # on End(B), and on Hom(B, B*), source and target of one dimension
+    # whose structure tensors differ
+    rng = random.Random(name)
+    f, g = (_random_endo(b.field, b.dim, rng) for _ in range(2))
+    assert identical(conv_hom(b, b, f, g), reference_conv_hom(b, b, f, g))
+    dual = dual_bialgebra(b)
+    assert identical(conv_hom(b, dual, f, g), reference_conv_hom(b, dual, f, g))
+    unit = conv_unit(b)
+    assert identical(conv_hom(b, b, unit, f), reference_conv_hom(b, b, unit, f))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)

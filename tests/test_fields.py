@@ -1,5 +1,7 @@
 """Elementwise field operations: reduced results, checked against Python
-int arithmetic mod p and against Fraction arithmetic over Q."""
+int arithmetic mod p and against Fraction arithmetic over Q.  The Q
+matrix product, one integer product of cleared-denominator matrices, is
+checked against ``np.dot`` over ``Fraction``."""
 
 from fractions import Fraction
 
@@ -9,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfkit.fields import QQ, PrimeField
+from hopfkit.io import MAX_ENTRY
+
+from axiom_reference import identical
 
 # 2**31 - 1 is the last prime of the int64 lane; 2**61 - 1 the last of the
 # object lane.
@@ -117,3 +122,66 @@ def test_scatter_sum_over_q_is_exact():
     assert list(got) == [0, 0, 1, 0]
     assert all(type(v) is Fraction for v in got)
     assert QQ.scatter_sum(np.array([], dtype=np.int64), QQ.zeros(0), 2).tolist() == [0, 0]
+
+
+#: numerators and denominators near io.MAX_ENTRY: one such entry per row
+#: or column already puts max|a| max|b| n past 2**63, the Python-int product
+_huge = st.integers(MAX_ENTRY - (1 << 20), MAX_ENTRY - 1)
+q_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=6).filter(lambda q: abs(q) < 50),
+    st.builds(lambda s, n, d: Fraction(s * n, d), st.sampled_from([1, -1]), _huge, _huge),
+    st.builds(lambda s, n: Fraction(s * n), st.sampled_from([1, -1]), _huge),
+)
+
+
+def _q_matrix(draw, shape):
+    out = QQ.zeros(shape)
+    for index in np.ndindex(*shape):
+        out[index] = draw(q_entries)
+    return out
+
+
+def _same_product(a, b):
+    got, want = QQ.matmul(a, b), np.dot(a, b)
+    if np.ndim(want) == 0:
+        return got == want and type(got) is type(want)
+    return identical(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_rational_matmul_is_np_dot(data):
+    # 0-row, 0-column and 0-inner shapes included; np.dot's zeros over an
+    # empty inner dimension are ints, and the product must keep them
+    m, k, n = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = _q_matrix(data.draw, (m, k))
+    b = _q_matrix(data.draw, (k, n))
+    assert _same_product(a, b)
+    assert _same_product(a, b[:, 0] if n else QQ.zeros(k))  # matrix times vector
+    assert _same_product(a[0] if m else QQ.zeros(k), b)     # vector times matrix
+
+
+@pytest.mark.parametrize("x, y", [
+    ((1 << 31) - 1, 1 << 31),  # 2 x y = 2**63 - 2**32: the int64 product
+    (1 << 31, 1 << 31),        # 2 x y = 2**63 exactly: Python ints
+    (1 << 31, (1 << 31) + 1),  # just above: Python ints
+])
+def test_rational_matmul_checks_the_int64_bound_first(x, y):
+    # max|a| max|b| n just below, at and just above 2**63: an int64
+    # product of the last two wraps silently to a negative number
+    a, b = QQ.array([[x, x]]), QQ.array([[y], [y]])
+    got = QQ.matmul(a, b)
+    assert got[0, 0] == 2 * x * y and type(got[0, 0]) is Fraction
+    assert identical(got, np.dot(a, b))
+    # the same bound after clearing denominators: each row and column scale
+    assert identical(QQ.matmul(a / 3, b / 5), np.dot(a / 3, b / 5))
+
+
+def test_rational_matmul_scales_by_the_lcm_of_each_row_and_column():
+    # denominators 2, 3, 4 in a row and 5, 7, 10 in a column: the scales
+    # are 12 and 70, which no single entry's denominator divides into
+    a = QQ.array([[(1, 2), (-1, 3), (1, 4)], [(3, 4), 0, (5, 6)]])
+    b = QQ.array([[(1, 5), 1], [(2, 7), (-1, 2)], [(3, 10), 0]])
+    assert identical(QQ.matmul(a, b), np.dot(a, b))
+    assert QQ.matmul(a, b)[0, 0] == Fraction(1, 10) - Fraction(2, 21) + Fraction(3, 40)

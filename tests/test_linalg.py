@@ -17,6 +17,7 @@ from hopfkit.errors import DimensionError, FieldMismatchError
 from hopfkit.fields import QQ, PrimeField, parse_field
 
 from axiom_reference import identical
+from lane_reference import reference_rref_object
 from oracle_utils import (
     all_vectors,
     full_subspace,
@@ -329,3 +330,46 @@ def test_all_pairs_is_the_loop_order():
             assert np.array_equal(xs[:, s * 3 + t], x[:, s])
             assert np.array_equal(ys[:, s * 3 + t], y[:, t])
     assert [a.shape for a in la.all_pairs(x, y[:, :0])] == [(2, 0), (2, 0)]
+
+
+F61 = PrimeField((1 << 61) - 1)
+
+
+@st.composite
+def object_lane_matrix(draw):
+    """A wide, tall or square matrix over Q (numerators and denominators up
+    to io.MAX_ENTRY) or F_(2^61-1), with zero entries, all-zero rows and
+    rows that are combinations of earlier ones."""
+    f = draw(st.sampled_from([QQ, F61]))
+    m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    big = (1 << 63) if f == QQ else f.p
+    entry = st.one_of(
+        st.just(0), st.just(0), st.integers(-3, 3), st.integers(-big + 1, big - 1),
+    )
+    if f == QQ:
+        entry = st.one_of(entry, st.builds(
+            lambda num, den: f.from_pair(num, den), st.integers(-big + 1, big - 1),
+            st.integers(1, big - 1)))
+    out = f.zeros((m, n))
+    for i in range(m):
+        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
+        if kind == "entries" or (kind == "combination" and i == 0):
+            for j in range(n):
+                out[i, j] = f.scalar(draw(entry))
+        elif kind == "combination":
+            c = [f.scalar(draw(st.integers(-2, 2))) for _ in range(i)]
+            for t in range(i):
+                out[i] = f.addmul(out[i], c[t], out[t])
+    return f, out
+
+
+@settings(max_examples=200, deadline=None)
+@given(object_lane_matrix())
+def test_rref_object_matches_the_whole_row_elimination(case):
+    f, a = case
+    before = a.copy()
+    r, piv = la._rref_object(f, a)
+    ref, ref_piv = reference_rref_object(f, a)
+    assert piv == ref_piv
+    assert identical(r, ref)
+    assert identical(a, before)

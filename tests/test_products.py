@@ -12,9 +12,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit.bialgebra import (
+    _TERM_BLOCK,
     augmentation_ideal,
+    column_blocks,
     dual_bialgebra,
     ideal_closure,
     make_bialgebra,
@@ -243,3 +247,16 @@ def test_sub_bialgebras_match_reference_loops(name, b):
         spans.append(subspace_from_rows(f, d, [b.unit, *extra]))
     for w in spans:
         assert _same_result(_outcome(sub_bialgebra, b, w), _outcome(reference_sub_bialgebra, b, w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(0, 40), st.integers(0, _TERM_BLOCK), st.just(_TERM_BLOCK - 1)), max_size=10))
+def test_column_blocks_split_at_multiples_of_the_block_weight(weights):
+    # a new run starts where the weight before a column first reaches the
+    # next multiple of _TERM_BLOCK; a total below it is one run
+    weight = np.array(weights, dtype=np.int64)
+    before = weight.cumsum() - weight
+    starts = [c for c in range(1, len(weight)) if before[c] // _TERM_BLOCK != before[c - 1] // _TERM_BLOCK]
+    edges = [0, *starts, len(weight)]
+    assert [tuple(map(int, run)) for run in column_blocks(weight)] == list(zip(edges, edges[1:]))

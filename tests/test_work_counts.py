@@ -6,9 +6,14 @@ per pair of vectors shows up here as a larger count, without timing
 noise.  The counts are of calls of ``Bialgebra.prod``, ``prod2`` and
 ``prod2op``, of ``conv`` and ``conv_operator`` in the n-antipode
 searches, and of ``build_oslash``/``build_boxslash`` in the pipelines,
-the CLI and the corpus battery.
+the CLI and the corpus battery.  The counts of ``conv``, ``solve_matrix``
+and ``rref`` pin the work of the searches and of one corpus battery, so
+that a faster scalar lane shows as cheaper arithmetic, not as less work;
+a convolution is three field products and no Kronecker product.
 """
 
+import importlib
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -16,13 +21,13 @@ import numpy as np
 import pytest
 
 import hopfkit
-from hopfkit import canonical, cli, cofree, convolution, corpus, envelope
-from hopfkit.bialgebra import Bialgebra, sub_bialgebra, tensor_bialgebra
+from hopfkit import canonical, cli, cofree, convolution, corpus, envelope, linalg
+from hopfkit.bialgebra import Bialgebra, dual_bialgebra, sub_bialgebra, tensor_bialgebra
 from hopfkit.canonical import build_boxslash
 from hopfkit.cofree import cofree_hopf
 from hopfkit.envelope import hopf_envelope
 from hopfkit.families import radford_dual, sweedler_h4
-from hopfkit.fields import PrimeField
+from hopfkit.fields import QQ, PrimeField
 from hopfkit.linalg import rank
 from hopfkit.monoid import monogenic, monoid_bialgebra
 
@@ -140,3 +145,61 @@ def test_check_fixture_builds(space_builds):
     fx = corpus.CorpusFixture("monogenic_2_3/F3", monoid_bialgebra(m, F3), m)
     assert corpus.check_fixture(fx)["ok"]
     assert space_builds == {"build_oslash": 4, "build_boxslash": 4}
+
+
+@pytest.fixture
+def work_calls(monkeypatch):
+    """Counts calls of ``conv``, ``solve_matrix`` and ``rref`` in every
+    module that binds them."""
+    calls = Counter()
+    modules = [
+        importlib.import_module(f"hopfkit.{m.name}")
+        for m in pkgutil.iter_modules(hopfkit.__path__) if m.name != "__main__"
+    ]
+    for owner, name in ((convolution, "conv"), (linalg, "solve_matrix"), (linalg, "rref")):
+        fn = getattr(owner, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("i, p, counts", [
+    (2, 3, {"minimal_left_n_antipode": (5, 3, 8), "minimal_right_n_antipode": (5, 3, 8),
+            "central_n_antipode": (18, 2, 7)}),
+    (4, 4, {"minimal_left_n_antipode": (8, 3, 11), "minimal_right_n_antipode": (8, 3, 11),
+            "central_n_antipode": (25, 2, 10)}),
+])
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+def test_n_antipode_search_work(work_calls, field, i, p, counts):
+    b = monoid_bialgebra(monogenic(i, p), field)
+    for search, (conv, solves, rrefs) in counts.items():
+        work_calls.clear()
+        assert getattr(convolution, search)(b).n == i
+        assert work_calls == {"conv": conv, "solve_matrix": solves, "rref": rrefs}, search
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+def test_check_fixture_work(work_calls, field):
+    m = monogenic(2, 3)
+    fx = corpus.CorpusFixture(f"monogenic_2_3/{field}", monoid_bialgebra(m, field), m)
+    assert corpus.check_fixture(fx)["ok"]
+    assert work_calls == {"conv": 47, "solve_matrix": 18, "rref": 101}
+
+
+@pytest.mark.parametrize("field", [QQ, F3, PrimeField((1 << 61) - 1)], ids=str)
+def test_conv_hom_is_three_products(monkeypatch, field):
+    b = sweedler_h4(field)
+    dual, unit = dual_bialgebra(b), b.conv_unit
+    calls = Counter()
+    for name in ("matmul", "kron"):
+        def counted(self, x, y, _name=name, _op=getattr(type(field), name)):
+            calls[_name] += 1
+            return _op(self, x, y)
+        monkeypatch.setattr(type(field), name, counted)
+    convolution.conv_hom(b, dual, field.eye(b.dim), unit)
+    assert calls == {"matmul": 3}
