@@ -1,22 +1,15 @@
-"""Dense mod-p kernels: the hot loops of the prime-field lane.
+"""Mod-p kernels of the prime-field lane, exact for primes below 2**31;
+larger primes use the object-dtype lane of :mod:`hopfkit.fields`.
 
-Each kernel does only the work its output needs, after the
-delayed-reduction and limb-splitting model of FFLAS-FFPACK (Dumas,
-Giorgi & Pernet, ACM TOMS 35(3), 2008):
-
-* ``matmul_mod`` reduces once per product while n (p-1)**2 < 2**62,
-  the int64 bound.  Above it (p near 2**31) it splits ``b`` into 16-bit
-  limbs, ``b = hi * 2**16 + lo``, and contracts at most 2**15 inner
-  indices per chunk, so ``a @ lo`` stays below 2**62 and ``a @ hi``
-  below 2**61: two int64 products and a reduction per chunk, exact for
-  any shape.
-* ``rref_mod`` eliminates only the rows with a nonzero entry in the
-  pivot column, and only the columns from the pivot on: the pivot row is
-  zero to its left.
-
-All kernels are exact for primes below 2**31; larger primes are handled
-by the object-dtype lane in :mod:`hopfkit.fields` and never reach this
-module.
+* ``matmul_mod`` follows the delayed-reduction and limb-splitting model of
+  FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008): it reduces
+  once per product while n (p-1)**2 < 2**62, the int64 bound.  Above it
+  (p near 2**31) it splits ``b`` into 16-bit limbs, ``b = hi * 2**16 +
+  lo``, and contracts at most 2**15 inner indices per chunk, so ``a @ lo``
+  stays below 2**62 and ``a @ hi`` below 2**61: two int64 products and a
+  reduction per chunk, exact for any shape.
+* ``rref_mod`` is this lane's entry to ``linalg.echelon``, the one row
+  reduction of every lane.
 """
 
 from __future__ import annotations
@@ -50,32 +43,8 @@ def matmul_mod(a, b, p):
 
 
 def rref_mod(a, p):
-    """Reduced row echelon form mod p.
+    """``linalg.echelon(a, p)``: the reduced row echelon form mod p as
+    ``(r, pivots)``, r an int64 array, for the int64 lane."""
+    from .linalg import echelon  # linalg imports this module
 
-    Returns ``(r, pivots)`` where ``r`` is fully reduced (pivot entries 1,
-    pivot columns otherwise 0) and ``pivots`` lists pivot column indices.
-    Pivot choice is the first nonzero entry in column order, so the output
-    is deterministic.
-    """
-    r = np.asarray(a, dtype=np.int64) % p  # a new array, so ``a`` is left as it was
-    m, n = r.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
-            continue
-        piv = row + int(hits[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        # rows at and below ``row`` are zero left of ``col``
-        r[row, col:] = (r[row, col:] * pow(int(r[row, col]), p - 2, p)) % p
-        rows = np.flatnonzero(r[:, col])
-        rows = rows[rows != row]
-        if rows.size:
-            r[rows, col:] = (r[rows, col:] - np.outer(r[rows, col], r[row, col:])) % p
-        pivots.append(col)
-        row += 1
-    return r, np.array(pivots, dtype=np.int64)
+    return echelon(a, p)

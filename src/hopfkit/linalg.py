@@ -4,8 +4,9 @@ Conventions, fixed once and used everywhere:
 
 * matrices act on coordinate columns; the matrix of a linear map has one
   column per source basis vector;
-* ``rref`` picks the first nonzero entry in column order as pivot, so
-  every canonical form is reproducible bit for bit;
+* ``rref`` returns the unique reduced row echelon form (pivot entries 1,
+  pivot columns otherwise 0), so every canonical form is reproducible
+  bit for bit, whatever the order of elimination;
 * :class:`Subspace` stores its basis as the reduced row echelon form of
   any spanning set, hence two subspaces are equal as sets iff their
   stored bases are identical entrywise;
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,38 +73,64 @@ def rref(f: Field, a):
     if a.ndim != 2:
         raise DimensionError(f"rref expects a matrix, got shape {a.shape}")
     if isinstance(f, PrimeField) and f.small:
-        r, piv = _kernels.rref_mod(a, f.p)
-        return r, tuple(int(c) for c in piv)
-    return _rref_object(f, a)
+        return _kernels.rref_mod(a, f.p)
+    return echelon(a, f.characteristic)
 
 
-def _rref_object(f: Field, a):
-    """``rref`` of an object array (Q, or GF(p) with p >= 2**31), by the
-    rule of ``_kernels.rref_mod``: each step updates only the rows with a
-    nonzero in the pivot column, and only the columns from the pivot on."""
-    r = f.zeros(a.shape)
-    r[...] = a
-    m, n = r.shape
-    pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
+def echelon(a, p: int):
+    """``(r, pivots)``: the reduced row echelon form of the matrix ``a`` over
+    GF(p), or over Q when p is 0, built by inserting rows one at a time.
+
+    Only nonzeros are read and updated.  Each basis row is a dict
+    ``{column: value}`` with 1 at its pivot, and no basis row holds another
+    pivot column, so an incoming row is reduced once per pivot column it
+    holds.  A nonzero residual is scaled to 1 at its first column, the new
+    pivot, which is then cleared from the basis rows holding it.  The dense
+    result is int64 for p below ``_kernels.SMALL_PRIME_BOUND``, else an
+    object array; ``a`` is only read.
+    """
+    m, n = a.shape
+    dtype = np.int64 if 0 < p < _kernels.SMALL_PRIME_BOUND else object
+    rows, cols = np.nonzero(a)
+    values, cols = a[rows, cols].tolist(), cols.tolist()
+    edges = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(values)]
+    basis = {}  # pivot column -> its row
+    for s, e in zip(edges, edges[1:]):
+        if len(basis) == n:
             break
-        hits = np.flatnonzero(r[row:, col] != 0)
-        if hits.size == 0:
+        v = dict(zip(cols[s:e], values[s:e]))
+        for c in [c for c in v if c in basis]:
+            x = v[c]  # the other basis rows are 0 at column c
+            for k, y in basis[c].items():
+                v[k] = v.get(k, 0) - x * y
+        v = _nonzero(v, p)
+        if not v:
             continue
-        piv = row + int(hits[0])
-        if piv != row:
-            r[[row, piv]] = r[[piv, row]]
-        # rows at and below ``row`` are zero left of ``col``
-        r[row, col:] = f.mul(r[row, col:], f.inv(r[row, col]))
-        rows = np.flatnonzero(r[:, col] != 0)
-        rows = rows[rows != row]
-        if rows.size:
-            r[rows, col:] = f.submul(r[rows, col:], r[rows, col, None], r[row, col:])
-        pivots.append(col)
-        row += 1
-    return r, tuple(pivots)
+        q = min(v)
+        if v[q] != 1:
+            inv = pow(v[q], -1, p) if p else 1 / v[q]
+            v = _nonzero({k: x * inv for k, x in v.items()}, p)
+        for c, row in basis.items():
+            x = row.get(q)
+            if x:
+                for k, y in v.items():
+                    row[k] = row.get(k, 0) - x * y
+                basis[c] = _nonzero(row, p)
+        basis[q] = v
+    pivots = tuple(sorted(basis))
+    r = np.zeros((m, n), dtype=dtype)  # pages of int64 zeros left unwritten take no memory
+    if p == 0:
+        r[...] = Fraction(0)
+    index = [t * n + k for t, c in enumerate(pivots) for k in basis[c]]
+    r.reshape(-1)[index] = np.array([x for c in pivots for x in basis[c].values()], dtype=dtype)
+    return r, pivots
+
+
+def _nonzero(v: dict, p: int) -> dict:
+    """The nonzero entries of ``v``, reduced into [0, p) when p > 0."""
+    if p:
+        return {k: r for k, x in v.items() if (r := x % p)}
+    return {k: x for k, x in v.items() if x}
 
 
 def rank(f: Field, a) -> int:

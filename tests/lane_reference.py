@@ -1,9 +1,14 @@
 """Whole-row elimination and the Kronecker convolution.
 
-References for ``linalg._rref_object`` and ``convolution.conv_hom``: the
-row reduction subtracts a multiple of the whole pivot row from each row
-with a nonzero in the pivot column, zeros included, and the convolution
-builds the d**2 x d**2 matrix f (x) g between two products, the way
+References for ``linalg.rref`` (on every lane: the int64 kernel and the
+object arrays alike) and ``convolution.conv_hom``.  The row reduction
+works on the dense matrix, in the textbook order: pick the first nonzero
+at or below the current row in each column, scale its row, and subtract
+a multiple of the whole pivot row, zeros included, from each other row
+with a nonzero in the pivot column.  The library instead inserts rows
+one at a time into a sparse echelon basis; the reduced row echelon form
+is unique, so both must agree entry for entry.  The convolution builds
+the d**2 x d**2 matrix f (x) g between two products, the way
 m o (f (x) g) o Delta is written.
 """
 
@@ -11,7 +16,7 @@ from hopfkit.linalg import kron, matmul
 
 
 def reference_rref_object(f, a):
-    """``(r, pivots)``: the reduced row echelon form of an object array."""
+    """``(r, pivots)``: the reduced row echelon form of ``a`` over ``f``."""
     r = f.zeros(a.shape)
     r[...] = a
     m, n = r.shape

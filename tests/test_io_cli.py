@@ -233,6 +233,22 @@ def test_dualcheck_builds_each_side_once(monkeypatch, capsys):
     assert calls == {"hopf_envelope": 1, "cofree_hopf": 1}
 
 
+def test_nantipode_checks_the_central_identity_once(monkeypatch, capsys):
+    # central_n_antipode checks S * Id^{*(n+1)} = Id^{*n} or raises, and the
+    # report states that result without checking again
+    from hopfkit.convolution import NAntipodeResult
+
+    sides = []
+    check = NAntipodeResult.check
+    monkeypatch.setattr(NAntipodeResult, "check",
+                        lambda self, b: sides.append(self.sided) or check(self, b))
+    code = hopfkit.cli.main(["nantipode", str(FIXTURES / "monoid_monogenic_2_3.json")])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["agree"] is True
+    assert doc["central_identity_holds"] is True
+    assert sides == ["two_sided"]
+
+
 def test_parser_is_built_once():
     assert hopfkit.cli.build_parser() is hopfkit.cli.build_parser()
 

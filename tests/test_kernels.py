@@ -1,4 +1,4 @@
-"""The mod-p kernels must agree entry for entry with the generic
+"""The mod-p kernels must agree entry for entry with the whole-row
 elimination over the same field, and stay exact near the int64 overflow
 boundary."""
 
@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from hopfkit import _kernels as kn
-from hopfkit.fields import PrimeField, is_prime
-from hopfkit.linalg import _rref_object
+from hopfkit import linalg as la
+from hopfkit.fields import QQ, PrimeField, is_prime
+
+from axiom_reference import identical
+from lane_reference import reference_rref_object
 
 
 def _random_matrix(rng, m, n, p):
@@ -44,15 +47,15 @@ def _rref_cases(rng, p):
 
 
 def test_rref_lanes_agree():
-    # the reference is the generic elimination over the same PrimeField
+    # the reference is the whole-row elimination over the same PrimeField
     rng = random.Random(5)
     for p in RREF_PRIMES:
         f = PrimeField(p)
         for a in _rref_cases(rng, p):
-            want, want_piv = _rref_object(f, a)
+            want, want_piv = reference_rref_object(f, a)
             r, piv = kn.rref_mod(a, p)
             assert r.dtype == np.int64 and r.shape == a.shape
-            assert np.array_equal(r, want), (p, a)
+            assert identical(r, want), (p, a)
             assert tuple(int(c) for c in piv) == want_piv, (p, a)
 
 
@@ -119,21 +122,38 @@ def test_empty_inner_dimension_gives_zeros(p):
     assert out.dtype == np.int64 and np.array_equal(out, np.zeros((3, 4)))
 
 
-def test_rref_mod_holds_one_copy_of_its_input(monkeypatch):
-    # the oslash relation matrix of monogenic(6, 6) over F3, 1584 x 144
+def _largest_relation_matrix(monkeypatch, f):
+    """The oslash relation matrix of monogenic(6, 6) over f, 1584 x 144."""
     from hopfkit.canonical import oslash_relations
     from hopfkit.monoid import monogenic, monoid_bialgebra
 
     seen = []
-    rref_mod = kn.rref_mod
-    monkeypatch.setattr(kn, "rref_mod", lambda a, p: seen.append(a) or rref_mod(a, p))
-    oslash_relations(monoid_bialgebra(monogenic(6, 6), PrimeField(3)))
+    rref = la.rref
+    monkeypatch.setattr(la, "rref", lambda f, a: seen.append(a) or rref(f, a))
+    oslash_relations(monoid_bialgebra(monogenic(6, 6), f))
+    monkeypatch.undo()
     rows = max(seen, key=lambda a: a.size)
     assert rows.shape == (1584, 144)
+    return rows
+
+
+def _peak_bytes(call):
     tracemalloc.start()
     try:
-        rref_mod(rows, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * rows.nbytes
+
+
+def test_rref_mod_holds_one_copy_of_its_input(monkeypatch):
+    rows = _largest_relation_matrix(monkeypatch, PrimeField(3))
+    assert _peak_bytes(lambda: kn.rref_mod(rows, 3)) <= 1.5 * rows.nbytes
+
+
+@pytest.mark.parametrize("f", [QQ, PrimeField((1 << 61) - 1)], ids=str)
+def test_object_lane_rref_holds_one_copy_of_its_input(monkeypatch, f):
+    # nbytes counts the pointers; the zeros share one object
+    rows = _largest_relation_matrix(monkeypatch, f)
+    assert rows.dtype == object
+    assert _peak_bytes(lambda: la.rref(f, rows)) <= 1.5 * rows.nbytes

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfkit import linalg as la
@@ -333,14 +333,16 @@ def test_all_pairs_is_the_loop_order():
 
 
 F61 = PrimeField((1 << 61) - 1)
+F31 = PrimeField((1 << 31) - 1)
 
 
 @st.composite
-def object_lane_matrix(draw):
+def rref_lane_matrix(draw):
     """A wide, tall or square matrix over Q (numerators and denominators up
-    to io.MAX_ENTRY) or F_(2^61-1), with zero entries, all-zero rows and
-    rows that are combinations of earlier ones."""
-    f = draw(st.sampled_from([QQ, F61]))
+    to io.MAX_ENTRY), F2, F3, F_(2^31-1) or F_(2^61-1), with zero entries,
+    all-zero rows, repeated rows and rows that are combinations of earlier
+    ones."""
+    f = draw(st.sampled_from([QQ, F2, F3, F31, F61]))
     m, n = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     big = (1 << 63) if f == QQ else f.p
     entry = st.one_of(
@@ -352,10 +354,12 @@ def object_lane_matrix(draw):
             st.integers(1, big - 1)))
     out = f.zeros((m, n))
     for i in range(m):
-        kind = draw(st.sampled_from(["entries", "zero", "combination"]))
-        if kind == "entries" or (kind == "combination" and i == 0):
+        kind = draw(st.sampled_from(["entries", "zero", "repeat", "combination"]))
+        if kind == "entries" or (kind in ("repeat", "combination") and i == 0):
             for j in range(n):
                 out[i, j] = f.scalar(draw(entry))
+        elif kind == "repeat":
+            out[i] = out[draw(st.integers(0, i - 1))]
         elif kind == "combination":
             c = [f.scalar(draw(st.integers(-2, 2))) for _ in range(i)]
             for t in range(i):
@@ -363,12 +367,19 @@ def object_lane_matrix(draw):
     return f, out
 
 
-@settings(max_examples=200, deadline=None)
-@given(object_lane_matrix())
+@settings(max_examples=300, deadline=None)
+@given(rref_lane_matrix())
+@example((QQ, QQ.zeros((0, 4))))
+@example((F61, F61.zeros((3, 0))))
+@example((F3, F3.array([[0, 1, 2], [0, 1, 2], [0, 0, 0], [1, 0, 0]])))
 def test_rref_object_matches_the_whole_row_elimination(case):
+    # every lane of linalg.rref (the int64 kernel for F2, F3 and F_(2^31-1),
+    # object arrays for Q and F_(2^61-1)) against the whole-row elimination,
+    # on a read-only input that must come back unchanged
     f, a = case
     before = a.copy()
-    r, piv = la._rref_object(f, a)
+    a.flags.writeable = False
+    r, piv = la.rref(f, a)
     ref, ref_piv = reference_rref_object(f, a)
     assert piv == ref_piv
     assert identical(r, ref)
