@@ -396,10 +396,22 @@ def tensor_bialgebra(a: Bialgebra, b: Bialgebra) -> Bialgebra:
 
 
 def augmentation_ideal(b: Bialgebra) -> Subspace:
-    """ker(counit); requires a nonzero counit."""
-    if is_zero_matrix(b.counit):
+    """ker(counit); requires a nonzero counit.
+
+    With c the last coordinate where eps is nonzero, its canonical basis
+    is e_k - eps(e_k)/eps(e_c) e_c for k != c: row k has its pivot at k,
+    as eps(e_k) = 0 for k > c, and column c is the one free column.
+    """
+    f = b.field
+    support = np.flatnonzero(b.counit)
+    if not support.size:
         raise PreconditionError("zero counit: not a bialgebra")
-    return kernel(b.field, b.counit_row)
+    c = int(support[-1])
+    rest = [k for k in range(b.dim) if k != c]
+    basis = f.eye(b.dim)[rest]
+    basis[:, c] = f.neg(f.mul(b.counit[rest], f.inv(b.counit[c])))
+    basis.flags.writeable = False
+    return Subspace(f, b.dim, basis, tuple(rest))
 
 
 def ideal_closure(b: Bialgebra, v: Subspace, sidedness: str = "two_sided") -> Subspace:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bialgebra import (
     Bialgebra,
+    _runs,
     algebra_residuals,
     augmentation_ideal,
     coalgebra_residuals,
@@ -26,6 +27,7 @@ from .bialgebra import (
 from .convolution import antipode_shape_check, conv, conv_unit
 from .errors import ConstructionError, InvariantViolation, PreconditionError
 from .linalg import (
+    Echelon,
     Subspace,
     all_pairs,
     image,
@@ -34,8 +36,8 @@ from .linalg import (
     kron,
     matmul,
     rank,
-    row_space,
     solve_matrix,
+    sparse_rows,
     tensordot,
 )
 
@@ -59,19 +61,48 @@ def oslash_relations(b: Bialgebra) -> Subspace:
     """The subspace (B (x) B) Delta(B+) of B (x) B.
 
     It is spanned by the rows (e_i (x) e_j) Delta(h_t), h_t running over
-    the basis of B+: row (t, i, j) has entry
-    sum_{k,l} mult[i,k,a] Delta(h_t)[k,l] mult[j,l,c] at column (a, c).
+    the basis of B+: row (t, i, j) sums x mult[i,k,a] mult[j,l,c] at
+    column (a, c) over the nonzeros x = Delta(h_t)[k,l].  The rows are
+    made from the nonzeros of Delta(h_t) and of mult, a block of rows at a
+    time, and each goes into one echelon as it is made, so neither the
+    (d-1) d**2 x d**2 matrix of all rows nor a d**4 temporary is built.
     """
     f = b.field
     d = b.dim
     bplus = augmentation_ideal(b)
-    deltas = tensordot(f, bplus.basis, b.comult, ([1], [0]))  # (t, k, l)
-    rows = f.zeros((bplus.dim * d * d, d * d))
-    for t in range(bplus.dim):
-        left = tensordot(f, b.mult, deltas[t], ([1], [0]))  # (i, a, l)
-        both = tensordot(f, left, b.mult, ([2], [1]))  # (i, a, j, c)
-        rows[t * d * d : (t + 1) * d * d] = both.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return row_space(f, rows)
+    deltas = matmul(f, bplus.basis, b.comult.reshape(d, d * d))  # row t: Delta(h_t)
+    t_nz, kl = np.nonzero(deltas)
+    x = deltas[t_nz, kl]
+    per_t = np.bincount(t_nz, minlength=bplus.dim)
+    start = per_t.cumsum() - per_t
+    # row (t, i, j) joins the per_t[t] nonzeros (k, l) with count[i, k]
+    # nonzeros mult[i, k, a], then each of those with count[j, l] nonzeros
+    # mult[j, l, c]: its weight counts all three
+    count = b.mult_nonzeros[1].reshape(d, d)
+    pattern = np.zeros((bplus.dim, d, d), dtype=np.int64)
+    pattern[t_nz, kl // d, kl % d] = 1
+    left = count @ pattern
+    terms = left @ count.T
+    weight = (terms + left.sum(axis=2, keepdims=True) + per_t[:, None, None]).reshape(-1)
+    rows = np.flatnonzero(terms)  # the other rows are 0
+    echelon = Echelon(f.characteristic)
+    for r0, r1 in column_blocks(weight[rows]):
+        t, ij = np.divmod(rows[r0:r1], d * d)
+        i, j = np.divmod(ij, d)
+        pos, offset = _runs(per_t[t])  # pos: the row's place in the block
+        s = start[t[pos]] + offset
+        own, a, u = b.mult_terms(i[pos] * d + kl[s] // d)
+        pos, s = pos[own], s[own]
+        own, c, w = b.mult_terms(j[pos] * d + kl[s] % d)
+        pos, s, a, u = pos[own], s[own], a[own], u[own]
+        values = f.mul(f.mul(x[s], u), w)
+        cells, index = np.unique((pos * d + a) * d + c, return_inverse=True)
+        sums = f.scatter_sum(index, values, len(cells))
+        nonzero = sums != 0
+        cells, sums = cells[nonzero], sums[nonzero]
+        for row in sparse_rows(cells // (d * d), cells % (d * d), sums):
+            echelon.insert(row)
+    return echelon.subspace(f, d * d)
 
 
 def _action_descends(b: Bialgebra, proj, rows) -> bool:

@@ -19,10 +19,11 @@ import numpy as np
 from .bialgebra import Bialgebra
 from .errors import DimensionError, InvariantViolation
 from .linalg import (
+    Echelon,
     kron,
     matmul,
     solve,
-    subspace_from_rows,
+    sparse_row,
     swap_permutation,
     tensordot,
 )
@@ -140,19 +141,19 @@ def _id_powers(b: Bialgebra):
     """``(powers, span, k)``: Id^{*0}, ..., Id^{*m} for m = dim k[Id], the
     span k[Id] of all but the last, and the index k of Id.
 
-    Id^{*m} = sum_t c_t Id^{*t} gives the minimal polynomial, and k is the
-    first t with c_t != 0; all c_t = 0 would contradict eps o Id^{*m} = eps.
+    Each power goes into one echelon once, and Id^{*m} is the first that
+    reduces to zero.  Id^{*m} = sum_t c_t Id^{*t} gives the minimal
+    polynomial, and k is the first t with c_t != 0; all c_t = 0 would
+    contradict eps o Id^{*m} = eps.
     """
     fld = b.field
     eye = fld.eye(b.dim)
     powers = [conv_unit(b)]
-    while True:
-        span = subspace_from_rows(fld, b.dim**2, [p.reshape(-1) for p in powers])
+    span = Echelon(fld.characteristic)
+    while span.insert(sparse_row(powers[-1].reshape(-1))):
         powers.append(conv(b, powers[-1], eye))
-        if span.contains(powers[-1].reshape(-1)):
-            break
     c = solve(fld, _columns(powers[:-1]), powers[-1].reshape(-1))
-    return powers, span, int(np.flatnonzero(c != 0)[0])
+    return powers, span.subspace(fld, b.dim**2), int(np.flatnonzero(c != 0)[0])
 
 
 def minimal_left_n_antipode(b: Bialgebra) -> NAntipodeResult:

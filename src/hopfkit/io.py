@@ -42,14 +42,19 @@ MONOID_SCHEMA = "hopfkit.monoid/1"
 #: coinvariants (p_B is injective), d**2 x s**2; every other batch, such
 #: as an ideal-closure step or the k**2 products of a sub-bialgebra, holds
 #: at most d**3.
-#: The largest matrices are the B (/) B relations, (d-1) d**2 x d**2, and
-#: the B (#) B map gamma, d**3 x d**2: at d = 32 about 33.5M entries of
-#: 8 bytes (int64, or a pointer to a shared zero or a Fraction over Q),
+#: The B (/) B relations are never a matrix: ``oslash_relations`` makes
+#: them from the nonzeros of Delta(h) and mult, in blocks bounded like the
+#: products', and inserts them into one sparse echelon of at most d**2
+#: rows (14 MB tracemalloc peak at d = 32 over F3, where the dense
+#: (d-1) d**2 x d**2 matrix held 512 MB).  The largest matrix is now the
+#: B (#) B map gamma, d**3 x d**2: at d = 32 about 33.5M entries of 8
+#: bytes (int64, or a pointer to a shared zero or a Fraction over Q),
 #: 268 MB.  Row reduction (``linalg.echelon``) reads only its nonzeros;
 #: its int64 result maps only the pages it writes, the basis rows, while
-#: an object result holds a pointer per entry.  Envelope and cofree of a
-#: dim-32 monoid bialgebra over F3 peak at about 315 MB RSS (550 MB with
-#: the former dense elimination, which copied its input).  Over Q, where
+#: an object result holds a pointer per entry.  Over F3 the envelope of
+#: a dim-32 monoid bialgebra and of its dual peaks at about 80 MB RSS
+#: (315 MB with the relation matrix), the cofree Hopf algebra, through
+#: gamma, at about 300-310 MB: gamma keeps the cap at 32.  Over Q, where
 #: products are integer products of cleared-denominator matrices and the
 #: residuals are subtracted only where their two sides differ,
 #: ``verify_axioms`` on a dim-32 monoid bialgebra takes 4.3 s at 79 MB RSS

@@ -79,51 +79,115 @@ def rref(f: Field, a):
 
 def echelon(a, p: int):
     """``(r, pivots)``: the reduced row echelon form of the matrix ``a`` over
-    GF(p), or over Q when p is 0, built by inserting rows one at a time.
-
-    Only nonzeros are read and updated.  Each basis row is a dict
-    ``{column: value}`` with 1 at its pivot, and no basis row holds another
-    pivot column, so an incoming row is reduced once per pivot column it
-    holds.  A nonzero residual is scaled to 1 at its first column, the new
-    pivot, which is then cleared from the basis rows holding it.  The dense
-    result is int64 for p below ``_kernels.SMALL_PRIME_BOUND``, else an
-    object array; ``a`` is only read.
-    """
+    GF(p), or over Q when p is 0, made by inserting its nonzero rows one at
+    a time into an :class:`Echelon`.  Only nonzeros are read; ``a`` is only
+    read."""
     m, n = a.shape
-    dtype = np.int64 if 0 < p < _kernels.SMALL_PRIME_BOUND else object
     rows, cols = np.nonzero(a)
-    values, cols = a[rows, cols].tolist(), cols.tolist()
-    edges = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(values)]
-    basis = {}  # pivot column -> its row
-    for s, e in zip(edges, edges[1:]):
-        if len(basis) == n:
+    ech = Echelon(p)
+    for row in sparse_rows(rows, cols, a[rows, cols]):
+        if len(ech.basis) == n:
             break
-        v = dict(zip(cols[s:e], values[s:e]))
-        for c in [c for c in v if c in basis]:
-            x = v[c]  # the other basis rows are 0 at column c
+        ech.insert(row)
+    return ech.matrix(m, n)
+
+
+class Echelon:
+    """The reduced row echelon basis of the rows inserted so far, over GF(p),
+    or over Q when p is 0.
+
+    ``basis`` maps each pivot column to its row, a dict ``{column: value}``
+    of the entries off its pivot, where the row is 1.  No basis row holds
+    a pivot column, so an incoming row is reduced once per pivot column it
+    holds.  A nonzero residual is scaled to 1 at its first column, the new
+    pivot, which is then cleared from the basis rows holding it, found
+    through the index of the rows holding each column.  A row inserted
+    before is dropped unreduced, as it cannot change the span.  The
+    reduced row echelon form is unique, so the basis does not depend on
+    the order of insertion.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        self.basis = {}
+        self._holders = {}  # column -> pivots of the basis rows holding it
+        self._seen = set()
+
+    def insert(self, row: tuple) -> bool:
+        """Fold in ``row``, a tuple of pairs (column, value) with distinct
+        columns ascending; whether the span grew."""
+        if row in self._seen:
+            return False
+        self._seen.add(row)
+        p, basis = self.p, self.basis
+        v = dict(row)
+        for c in v.keys() & basis.keys():
+            x = v.pop(c)
             for k, y in basis[c].items():
                 v[k] = v.get(k, 0) - x * y
         v = _nonzero(v, p)
         if not v:
-            continue
+            return False
         q = min(v)
-        if v[q] != 1:
-            inv = pow(v[q], -1, p) if p else 1 / v[q]
-            v = _nonzero({k: x * inv for k, x in v.items()}, p)
-        for c, row in basis.items():
-            x = row.get(q)
-            if x:
-                for k, y in v.items():
-                    row[k] = row.get(k, 0) - x * y
-                basis[c] = _nonzero(row, p)
+        x = v.pop(q)
+        if x != 1:
+            inv = pow(x, -1, p) if p else 1 / x
+            v = _nonzero({k: y * inv for k, y in v.items()}, p)
+        holders = self._holders
+        for c in holders.pop(q, ()):
+            r = basis[c]
+            x = r.pop(q)
+            for k, y in v.items():
+                z = r.get(k, 0) - x * y
+                if p:
+                    z %= p
+                if z:
+                    r[k] = z
+                    holders.setdefault(k, set()).add(c)
+                else:  # x * y is nonzero, so r held k
+                    del r[k]
+                    holders[k].discard(c)
+        for k in v:
+            holders.setdefault(k, set()).add(q)
         basis[q] = v
-    pivots = tuple(sorted(basis))
-    r = np.zeros((m, n), dtype=dtype)  # pages of int64 zeros left unwritten take no memory
-    if p == 0:
-        r[...] = Fraction(0)
-    index = [t * n + k for t, c in enumerate(pivots) for k in basis[c]]
-    r.reshape(-1)[index] = np.array([x for c in pivots for x in basis[c].values()], dtype=dtype)
-    return r, pivots
+        return True
+
+    def matrix(self, m: int, n: int):
+        """``(r, pivots)``: the basis in the first rows of a dense m x n
+        matrix, int64 for p below ``_kernels.SMALL_PRIME_BOUND``, else an
+        object array of Python ints mod p or of ``Fraction``."""
+        p, basis = self.p, self.basis
+        dtype = np.int64 if 0 < p < _kernels.SMALL_PRIME_BOUND else object
+        pivots = tuple(sorted(basis))
+        r = np.zeros((m, n), dtype=dtype)  # pages of int64 zeros left unwritten take no memory
+        if p == 0:
+            r[...] = Fraction(0)
+        one = Fraction(1) if p == 0 else 1
+        index = [t * n + k for t, c in enumerate(pivots) for k in (c, *basis[c])]
+        values = [x for c in pivots for x in (one, *basis[c].values())]
+        r.reshape(-1)[index] = np.array(values, dtype=dtype)
+        return r, pivots
+
+    def subspace(self, f: Field, ambient: int) -> Subspace:
+        """The span of the inserted rows, of length ``ambient`` over ``f``."""
+        basis, pivots = self.matrix(len(self.basis), ambient)
+        basis.flags.writeable = False
+        return Subspace(f, ambient, basis, pivots)
+
+
+def sparse_row(v) -> tuple:
+    """The nonzeros of the vector ``v`` as pairs (column, value), columns ascending."""
+    cols = np.flatnonzero(v)
+    return tuple(zip(cols.tolist(), v[cols].tolist()))
+
+
+def sparse_rows(rows, cols, values):
+    """One row of pairs (column, value) per run of equal ``rows``, from
+    entries sorted by row and then by column."""
+    edges = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), len(rows)]
+    items = list(zip(cols.tolist(), values.tolist()))
+    for s, e in zip(edges, edges[1:]):
+        yield tuple(items[s:e])
 
 
 def _nonzero(v: dict, p: int) -> dict:

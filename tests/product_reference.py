@@ -3,7 +3,9 @@
 References for the batched kernel behind ``Bialgebra.prod``/``prod2``/
 ``prod2op`` and for ``gamma_matrix``, ``can_matrix`` and
 ``can_prime_matrix``: each visits one pair of nonzeros at a time and adds
-a dense term, the way the identities are written.  The ideal closure,
+a dense term, the way the identities are written.  The B (/) B relations
+are rebuilt densely, two contractions per basis vector of B+ into one
+matrix that is row-reduced whole.  The ideal closure,
 quotient, sub-bialgebra and B (#) B product are rebuilt here from one
 product and one membership test per pair of vectors.  Only for small
 dimensions.
@@ -13,7 +15,7 @@ import numpy as np
 
 from hopfkit.bialgebra import make_bialgebra, morphism_check, verify_axioms
 from hopfkit.errors import ConstructionError, PreconditionError
-from hopfkit.linalg import kron, matmul, subspace_from_rows
+from hopfkit.linalg import kernel, kron, matmul, row_space, subspace_from_rows, tensordot
 
 
 def _nonzero_pairs(row_matrix):
@@ -71,6 +73,27 @@ def reference_gamma_matrix(b):
             col[base : base + d] = f.sub(col[base : base + d], b.unit)
             g[:, i * d + j] = col
     return g
+
+
+def reference_relation_matrix(b):
+    """The (d-1) d^2 x d^2 matrix of the rows (e_i (x) e_j) Delta(h_t), h_t
+    running over the basis of B+ = ker(eps): row (t, i, j) has entry
+    sum_{k,l} mult[i,k,a] Delta(h_t)[k,l] mult[j,l,c] at column (a, c)."""
+    f = b.field
+    d = b.dim
+    bplus = kernel(f, b.counit_row)
+    deltas = tensordot(f, bplus.basis, b.comult, ([1], [0]))  # (t, k, l)
+    rows = f.zeros((bplus.dim * d * d, d * d))
+    for t in range(bplus.dim):
+        left = tensordot(f, b.mult, deltas[t], ([1], [0]))  # (i, a, l)
+        both = tensordot(f, left, b.mult, ([2], [1]))  # (i, a, j, c)
+        rows[t * d * d : (t + 1) * d * d] = both.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return rows
+
+
+def reference_oslash_relations(b):
+    """The subspace (B (x) B) Delta(B+), as the row space of the relation matrix."""
+    return row_space(b.field, reference_relation_matrix(b))
 
 
 def reference_can_matrix(b):

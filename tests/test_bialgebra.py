@@ -27,7 +27,7 @@ from hopfkit.bialgebra import (
 from hopfkit.errors import PreconditionError
 from hopfkit.families import radford_dual, sweedler_h4
 from hopfkit.fields import QQ, PrimeField
-from hopfkit.linalg import matmul, subspace_from_rows, zero_subspace
+from hopfkit.linalg import kernel, matmul, subspace_from_rows, zero_subspace
 from hopfkit.monoid import (
     cyclic_group,
     full_transformation_monoid_2,
@@ -36,7 +36,7 @@ from hopfkit.monoid import (
     units_and_left_units,
 )
 
-from axiom_reference import reference_verify_axioms, same_report
+from axiom_reference import identical, reference_verify_axioms, same_report
 
 F3 = PrimeField(3)
 F61 = PrimeField((1 << 61) - 1)
@@ -230,6 +230,21 @@ def test_augmentation_ideal_dims(qqp, kc2):
     aug2 = augmentation_ideal(kc2)
     assert aug2.dim == 1
     assert aug2.contains(QQ.array([-1, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([QQ, F3, F61]),
+       st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+def test_augmentation_ideal_is_the_kernel_of_the_counit(f, counit):
+    # the closed-form basis is the canonical basis of ker(eps), for any
+    # nonzero counit covector (entries in -2..2 are nonzero in every field)
+    if not any(counit):
+        counit[-1] = 1
+    d = len(counit)
+    b = make_bialgebra(f, f.zeros((d, d, d)), f.zeros((d, d, d)), f.zeros(d), counit)
+    aug, ker = augmentation_ideal(b), kernel(f, b.counit_row)
+    assert aug == ker and identical(aug.basis, ker.basis)
+    assert [type(c) for c in aug.pivots] == [type(c) for c in ker.pivots]
 
 
 def test_augmentation_ideal_is_two_sided_ideal_and_coideal(qqp):

@@ -1,11 +1,21 @@
 """The quotient coalgebra, the coinvariant algebra, witnesses, diagnostics."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfkit.bialgebra import augmentation_ideal, dual_bialgebra, trivial_bialgebra
+from hopfkit.bialgebra import (
+    augmentation_ideal,
+    dual_bialgebra,
+    make_bialgebra,
+    tensor_bialgebra,
+    trivial_bialgebra,
+    verify_axioms,
+)
 from hopfkit.canonical import (
     S_witness,
     T_witness,
@@ -15,9 +25,10 @@ from hopfkit.canonical import (
     can_matrix,
     can_prime_matrix,
     frobenius_report,
+    oslash_relations,
 )
 from hopfkit.convolution import central_n_antipode
-from hopfkit.corpus import named_fixtures
+from hopfkit.corpus import _relabel, named_fixtures, random_monoid
 from hopfkit.errors import PreconditionError
 from hopfkit.families import (
     matrix_coalgebra,
@@ -32,7 +43,9 @@ from hopfkit.linalg import (
     kron,
     matmul,
     rank,
+    solve_matrix,
     subspace_from_rows,
+    tensordot,
 )
 from hopfkit.monoid import (
     cyclic_group,
@@ -44,6 +57,7 @@ from hopfkit.monoid import (
 
 from axiom_reference import identical
 from oracle_utils import all_vectors, matvec_mod, oslash_act, reference_right_antipode
+from product_reference import reference_oslash_relations
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -336,6 +350,100 @@ def test_build_oslash_matches_reference_loops(family, field):
     for name in ("proj", "reps", "comult", "counit", "i_matrix"):
         assert identical(getattr(osl, name), ref[name]), name
     assert osl.dim == ref["proj"].shape[0]
+
+
+def _same_relations(b):
+    got, want = oslash_relations(b), reference_oslash_relations(b)
+    assert got == want
+    assert identical(got.basis, want.basis)
+    assert [type(c) for c in got.pivots] == [type(c) for c in want.pivots]
+
+
+@pytest.mark.parametrize("fx", named_fixtures(), ids=lambda fx: fx.name)
+def test_oslash_relations_match_the_dense_reference(fx):
+    for b in (fx.bialgebra, dual_bialgebra(fx.bialgebra)):
+        _same_relations(b)
+
+
+@pytest.mark.parametrize("field", [QQ, F3, F61], ids=str)
+@pytest.mark.parametrize("n", range(2, 13))
+def test_oslash_relations_on_the_ladder(n, field):
+    b = monoid_bialgebra(monogenic(n // 2, n - n // 2), field)
+    for b in (b, dual_bialgebra(b)):
+        _same_relations(b)
+
+
+LADDER_TENSORS = (
+    (sweedler_h4, lambda f: radford_dual(2, f)),
+    (quotient_quantum_plane, lambda f: monoid_bialgebra(cyclic_group(2), f)),
+    (lambda f: radford_dual(2, f), lambda f: radford_dual(2, f)),
+    (sweedler_h4, lambda f: monoid_bialgebra(cyclic_group(2), f)),
+)
+
+
+@pytest.mark.parametrize("make", LADDER_TENSORS)
+def test_oslash_relations_of_the_ladder_tensor_products(make):
+    _same_relations(tensor_bialgebra(make[0](F3), make[1](F3)))
+
+
+@st.composite
+def random_monoid_bialgebra(draw):
+    """A monoid bialgebra of ``corpus.random_monoid`` on a shuffled basis,
+    its dual, or a tensor product of two such."""
+    f = draw(st.sampled_from([QQ, F2, F3, F61]))
+
+    def one():
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        b = monoid_bialgebra(_relabel(random_monoid(rng, 4), rng), f)
+        return dual_bialgebra(b) if draw(st.booleans()) else b
+
+    return tensor_bialgebra(one(), one()) if draw(st.booleans()) else one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_monoid_bialgebra())
+def test_oslash_relations_of_random_monoid_bialgebras(b):
+    _same_relations(b)
+
+
+def _change_basis(b, p):
+    """``b`` on the basis of the columns of the invertible matrix ``p``."""
+    f = b.field
+    q = solve_matrix(f, p, f.eye(b.dim))  # the inverse of p
+    mult = tensordot(f, tensordot(f, tensordot(f, p, b.mult, ([0], [0])), p, ([1], [0])),
+                     q, ([1], [1]))  # (k, l, c)
+    comult = tensordot(f, tensordot(f, tensordot(f, p, b.comult, ([0], [0])), q, ([1], [1])),
+                       q, ([1], [1]))  # (k, c, e)
+    return make_bialgebra(f, mult, comult, matmul(f, q, b.unit), matmul(f, b.counit, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(NAMED_FAMILIES)), st.sampled_from([QQ, F3]), st.data())
+def test_oslash_relations_on_a_mixed_basis(family, field, data):
+    # a unitriangular change of basis fills mult and Delta: a row sums
+    # many terms into each cell, some of them to zero
+    b = NAMED_FAMILIES[family](field)
+    p = field.eye(b.dim)
+    for i in range(b.dim):
+        for j in range(i + 1, b.dim):
+            p[i, j] = field.scalar(data.draw(st.integers(-1, 1)))
+    b = _change_basis(b, p)
+    assert verify_axioms(b).ok
+    _same_relations(b)
+
+
+def test_oslash_relations_at_the_dimension_cap_stay_small():
+    # the dense relation matrix would be 31,744 x 1,024 int64 entries, 260 MB
+    b = monoid_bialgebra(monogenic(16, 16), F3)
+    for b, dim in ((b, 1008), (dual_bialgebra(b), 1023)):
+        tracemalloc.start()
+        try:
+            relations = oslash_relations(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert relations.dim == dim
+        assert peak < 64 * 2 ** 20
 
 
 DESCENDS_FAMILIES = (

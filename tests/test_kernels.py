@@ -11,9 +11,11 @@ import pytest
 from hopfkit import _kernels as kn
 from hopfkit import linalg as la
 from hopfkit.fields import QQ, PrimeField, is_prime
+from hopfkit.monoid import monogenic, monoid_bialgebra
 
 from axiom_reference import identical
 from lane_reference import reference_rref_object
+from product_reference import reference_relation_matrix
 
 
 def _random_matrix(rng, m, n, p):
@@ -122,17 +124,9 @@ def test_empty_inner_dimension_gives_zeros(p):
     assert out.dtype == np.int64 and np.array_equal(out, np.zeros((3, 4)))
 
 
-def _largest_relation_matrix(monkeypatch, f):
+def _largest_relation_matrix(f):
     """The oslash relation matrix of monogenic(6, 6) over f, 1584 x 144."""
-    from hopfkit.canonical import oslash_relations
-    from hopfkit.monoid import monogenic, monoid_bialgebra
-
-    seen = []
-    rref = la.rref
-    monkeypatch.setattr(la, "rref", lambda f, a: seen.append(a) or rref(f, a))
-    oslash_relations(monoid_bialgebra(monogenic(6, 6), f))
-    monkeypatch.undo()
-    rows = max(seen, key=lambda a: a.size)
+    rows = reference_relation_matrix(monoid_bialgebra(monogenic(6, 6), f))
     assert rows.shape == (1584, 144)
     return rows
 
@@ -146,14 +140,14 @@ def _peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_rref_mod_holds_one_copy_of_its_input(monkeypatch):
-    rows = _largest_relation_matrix(monkeypatch, PrimeField(3))
+def test_rref_mod_holds_one_copy_of_its_input():
+    rows = _largest_relation_matrix(PrimeField(3))
     assert _peak_bytes(lambda: kn.rref_mod(rows, 3)) <= 1.5 * rows.nbytes
 
 
 @pytest.mark.parametrize("f", [QQ, PrimeField((1 << 61) - 1)], ids=str)
-def test_object_lane_rref_holds_one_copy_of_its_input(monkeypatch, f):
+def test_object_lane_rref_holds_one_copy_of_its_input(f):
     # nbytes counts the pointers; the zeros share one object
-    rows = _largest_relation_matrix(monkeypatch, f)
+    rows = _largest_relation_matrix(f)
     assert rows.dtype == object
     assert _peak_bytes(lambda: la.rref(f, rows)) <= 1.5 * rows.nbytes

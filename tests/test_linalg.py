@@ -384,3 +384,39 @@ def test_rref_object_matches_the_whole_row_elimination(case):
     assert piv == ref_piv
     assert identical(r, ref)
     assert identical(a, before)
+
+
+@st.composite
+def rows_repeated_and_shuffled(draw):
+    """A ``rref_lane_matrix`` and an order of its rows that repeats some."""
+    f, a = draw(rref_lane_matrix())
+    m = a.shape[0]
+    extra = draw(st.lists(st.integers(0, m - 1), max_size=2 * m)) if m else []
+    return f, a, draw(st.permutations(list(range(m)) + extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_repeated_and_shuffled())
+@example((F3, F3.array([[1, 2], [1, 1]]), [1, 0, 1]))  # one support, two directions
+@example((QQ, QQ.array([[0, 1, 2], [3, 0, 1]]), [0, 0, 1, 1]))
+def test_rref_ignores_repeated_and_shuffled_rows(case):
+    # the echelon drops a row it has seen before unreduced: the span, and
+    # so the reduced row echelon form, cannot change
+    f, a, order = case
+    r, piv = la.rref(f, a)
+    r2, piv2 = la.rref(f, a[order])
+    assert piv2 == piv
+    assert identical(r2[: len(piv2)], r[: len(piv)])
+    assert r2.shape == (len(order), a.shape[1]) and not np.any(r2[len(piv2):] != 0)
+
+
+def test_echelon_insert_reports_growth():
+    ech = la.Echelon(3)
+    assert ech.insert(((0, 1), (2, 2)))
+    assert not ech.insert(((0, 1), (2, 2)))  # a repeat
+    assert not ech.insert(((0, 2), (2, 1)))  # twice the first row
+    assert ech.insert(((2, 1),))
+    assert ech.basis == {0: {}, 2: {}}
+    s = ech.subspace(F3, 3)
+    assert s == la.row_space(F3, F3.array([[1, 0, 2], [0, 0, 1]]))
+    assert identical(s.basis, la.row_space(F3, F3.array([[1, 0, 2], [0, 0, 1]])).basis)
