@@ -84,7 +84,15 @@ class Field:
     # -- array constructors ------------------------------------------------
 
     def array(self, data):
-        """Build a matrix/vector from nested ints, pairs or scalars."""
+        """Build a matrix/vector from nested ints, pairs or scalars.
+
+        An array already in the field's representation (see ``_reduced``)
+        is reduced in one pass; every other input goes through ``scalar``
+        entry by entry."""
+        if isinstance(data, np.ndarray):
+            out = self._reduced(data)
+            if out is not None:
+                return out
         a = np.asarray(data, dtype=object)
         out = np.empty(a.shape, dtype=self.dtype)
         flat_in = a.reshape(-1)
@@ -140,6 +148,12 @@ class RationalField(Field):
         if den == 0:
             raise HopfkitError("zero denominator")
         return Fraction(int(num), int(den))
+
+    def _reduced(self, data):
+        """A copy of an object array of Fractions; ``None`` for any other array."""
+        if data.dtype == object and set(map(type, data.ravel().tolist())) <= {Fraction}:
+            return data.copy()
+        return None
 
     def inv(self, x):
         return self.one / x
@@ -264,8 +278,26 @@ class PrimeField(Field):
         d = int(den) % self.p
         if d == 0:
             raise HopfkitError(f"denominator {den} is zero in F{self.p}")
-        v = (int(num) * pow(d, self.p - 2, self.p)) % self.p
+        v = int(num) if d == 1 else int(num) * pow(d, self.p - 2, self.p)
+        v %= self.p
         return np.int64(v) if self.small else v
+
+    def _reduced(self, data):
+        """``data % p`` of an int64 array in the int64 lane, or of an object
+        array of Python ints in the object lane; ``None`` for any other array."""
+        if self.small:
+            if data.dtype != np.int64:
+                return None
+            # ``out`` keeps a 0-d input an array, as the per-entry path does
+            return np.remainder(data, self.p, out=np.empty(data.shape, dtype=np.int64))
+        if data.dtype != object:
+            return None
+        flat = data.ravel().tolist()
+        if set(map(type, flat)) - {int}:
+            return None
+        out = np.empty(data.shape, dtype=object)
+        out.reshape(-1)[:] = [x % self.p for x in flat]
+        return out
 
     def inv(self, x):
         v = int(x) % self.p

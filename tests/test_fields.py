@@ -185,3 +185,54 @@ def test_rational_matmul_scales_by_the_lcm_of_each_row_and_column():
     b = QQ.array([[(1, 5), 1], [(2, 7), (-1, 2)], [(3, 10), 0]])
     assert identical(QQ.matmul(a, b), np.dot(a, b))
     assert QQ.matmul(a, b)[0, 0] == Fraction(1, 10) - Fraction(2, 21) + Fraction(3, 40)
+
+
+def _per_entry(f, data):
+    """``Field.array`` by ``scalar`` on each entry, the path every input
+    other than an array already in the field's representation takes."""
+    a = np.asarray(data, dtype=object)
+    out = np.empty(a.shape, dtype=f.dtype)
+    for index in np.ndindex(*a.shape):
+        out[index] = f.scalar(a[index])
+    return out
+
+
+def _object_array(values, shape):
+    out = np.empty(shape, dtype=object)
+    out.reshape(-1)[:] = values
+    return out
+
+
+BIG = (1 << 61) - 1
+
+
+@pytest.mark.parametrize("f, data", [
+    # int64 arrays with negative entries and entries >= p
+    (PrimeField(3), np.array([[-7, -1, 0], [2, 3, 11]], dtype=np.int64)),
+    (PrimeField((1 << 31) - 1), np.array([-(1 << 62), (1 << 31) + 5, 1 << 62])),
+    (PrimeField(3), np.array(-4, dtype=np.int64)),
+    # Python ints in object arrays at 2**61 - 1, beyond int64 included
+    (PrimeField(BIG), _object_array([-1, 0, BIG, BIG + 2, 1 << 80, -(1 << 70)], (2, 3))),
+    (PrimeField(BIG), _object_array([BIG + 1], ())),
+    # fall back: np.int64 entries in an object array, bools, other dtypes
+    (PrimeField(BIG), _object_array([np.int64(-1), 2, np.int64(5)], (3,))),
+    (PrimeField(BIG), _object_array([True, 2], (2,))),
+    (PrimeField(3), np.array([True, False])),
+    (PrimeField(3), np.array([-1, 4], dtype=np.int32)),
+    (PrimeField(3), _object_array([-1, 4], (2,))),
+    (PrimeField(BIG), np.array([-1, 4], dtype=np.int64)),
+    # Fractions over Q are kept; mixed int/Fraction arrays fall back
+    (QQ, _object_array([Fraction(1, 2), Fraction(-3), Fraction(0)], (3, 1))),
+    (QQ, _object_array([Fraction(1, 2), 3], (2,))),
+    (QQ, _object_array([Fraction(1, 2), 3, np.int64(-2)], (3,))),
+    (QQ, np.array([1, -2], dtype=np.int64)),
+    # 0-size shapes
+    (PrimeField(3), np.zeros((0, 4), dtype=np.int64)),
+    (PrimeField(BIG), np.empty((3, 0), dtype=object)),
+    (QQ, np.empty((0,), dtype=object)),
+])
+def test_array_is_the_per_entry_path(f, data):
+    before = data.copy()
+    got = f.array(data)
+    assert identical(got, _per_entry(f, data))
+    assert identical(data, before) and not np.shares_memory(got, data)

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfkit import _kernels as kn
 from hopfkit import linalg as la
@@ -19,7 +21,8 @@ from product_reference import reference_relation_matrix
 
 
 def _random_matrix(rng, m, n, p):
-    return np.array([[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64)
+    rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+    return np.array(rows, dtype=np.int64).reshape(m, n)
 
 
 def _sparse_matrix(rng, m, n, p, density):
@@ -92,7 +95,7 @@ def _reference_product(a, b, p):
     return np.array(
         [[sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a],
         dtype=np.int64,
-    )
+    ).reshape(a.shape[0], b.shape[1])
 
 
 # 2**31 - 1 is the last prime of the int64 lane, 2147483629 the one below it
@@ -122,6 +125,76 @@ def test_empty_inner_dimension_gives_zeros(p):
     b = np.zeros((0, 4), dtype=np.int64)
     out = kn.matmul_mod(a, b, p)
     assert out.dtype == np.int64 and np.array_equal(out, np.zeros((3, 4)))
+
+
+# primes whose products take the float64 route at every size used here
+FLOAT_PRIMES = (2, 3, 97)
+
+#: the first prime above 2**21: n (p-1)**2 < 2**53 holds up to n = 2047
+BOUND_PRIME = 2097169
+
+
+def test_float64_route_ends_below_2_53():
+    p = BOUND_PRIME
+    assert is_prime(p) and 2047 * (p - 1) ** 2 < 1 << 53 < 2048 * (p - 1) ** 2
+    for n in (2047, 2048):
+        top = np.full((1, n), p - 1, dtype=np.int64)
+        # one (p-2)**2 among (p-1)**2 terms makes the sum odd: above 2**53,
+        # where doubles are even, no float64 product can return it
+        odd = top.copy()
+        odd[0, 0] = p - 2
+        for a, b in ((top, top.T), (odd, odd.T), (np.vstack([top, odd]), odd.T)):
+            got = kn.matmul_mod(a, b, p)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _reference_product(a, b, p)), (n, a.shape)
+
+
+def test_product_at_2_53_stays_on_int64():
+    # 65537 - 1 = 2**16, so n (p-1)**2 reaches 2**53 exactly at n = 2**21:
+    # one term below it the product casts both factors to float64, at it
+    # the product is int64 and copies neither
+    p = 65537
+    for n, float_route in (((1 << 21) - 1, True), (1 << 21, False)):
+        a = np.full((1, n), p - 1, dtype=np.int64)
+        got = []
+        peak = _peak_bytes(lambda: got.append(kn.matmul_mod(a, a.T, p)))
+        assert got[0].dtype == np.int64 and got[0].tolist() == [[n * (p - 1) ** 2 % p]]
+        assert (peak >= 2 * a.nbytes) == float_route, (n, peak)
+
+
+def _float_cases(rng, p):
+    """Random and all-(p-1) factors, 0-row, 0-column and 0-inner shapes included."""
+    for m, k, n in ((4, 5, 3), (20, 30, 25), (0, 4, 3), (4, 3, 0), (4, 0, 3), (0, 0, 0)):
+        yield _random_matrix(rng, m, k, p), _random_matrix(rng, k, n, p)
+        yield np.full((m, k), p - 1, dtype=np.int64), np.full((k, n), p - 1, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", FLOAT_PRIMES)
+def test_float64_route_matches_python_ints(p):
+    rng = random.Random(p)
+    for a, b in _float_cases(rng, p):
+        got = kn.matmul_mod(a, b, p)
+        assert got.dtype == np.int64 and got.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(got, _reference_product(a, b, p)), (p, a.shape, b.shape)
+
+
+@st.composite
+def float_products(draw):
+    p = draw(st.sampled_from(FLOAT_PRIMES))
+    m, k, n = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.integers(0, p - 1), st.just(p - 1))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    b = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return p, np.array(a, dtype=np.int64).reshape(m, k), np.array(b, dtype=np.int64).reshape(k, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=float_products())
+def test_matmul_mod_is_the_python_int_product(case):
+    p, a, b = case
+    got = kn.matmul_mod(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_product(a, b, p))
 
 
 def _largest_relation_matrix(f):
